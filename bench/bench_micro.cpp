@@ -5,7 +5,8 @@
 // Besides the google-benchmark suite, main() writes a machine-readable
 // comb-kernel report to results/bench_micro.json: ns/cell for every
 // dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths)
-// plus single-call vs batched semi-local throughput. Run with
+// plus single-call vs batched semi-local throughput, and the pair-key
+// digest's ns/symbol and GB/s at 1k and 16k symbols. Run with
 // `--benchmark_filter=NONE` to emit only the JSON report.
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "braid/steady_ant.hpp"
 #include "core/api.hpp"
 #include "core/comb_kernels.hpp"
+#include "engine/key.hpp"
 #include "lcs/bitparallel.hpp"
 #include "lcs/prefix.hpp"
 #include "util/parallel.hpp"
@@ -219,6 +221,21 @@ void write_kernel_report(const std::string& path) {
     lcs_semilocal_batch(pairs, scores, {.parallel = true});
   });
 
+  // The content digest every warm read pays once per side (engine/key).
+  struct DigestRow {
+    Index symbols;
+    double ns_per_symbol;
+  };
+  std::vector<DigestRow> digests;
+  for (const Index symbols : {Index{1} << 10, Index{1} << 14}) {
+    const auto s = uniform_sequence(symbols, 4, 7);
+    const int iters = static_cast<int>((Index{1} << 24) / symbols);
+    const double secs = median_run_seconds([&] {
+      for (int it = 0; it < iters; ++it) benchmark::DoNotOptimize(sequence_digest(s));
+    });
+    digests.push_back({symbols, secs / (static_cast<double>(iters) * symbols) * 1e9});
+  }
+
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream out(path);
   out << "{\n  \"dispatched\": \"" << kernel_dispatch().name << "\",\n";
@@ -239,7 +256,15 @@ void write_kernel_report(const std::string& path) {
   out << "  \"batch\": {\"pairs\": " << kPairs << ", \"pair_length\": " << kLen
       << ", \"per_call_pairs_per_s\": " << kPairs / per_call_s
       << ", \"batched_pairs_per_s\": " << kPairs / batched_s
-      << ", \"batched_speedup\": " << per_call_s / batched_s << "}\n";
+      << ", \"batched_speedup\": " << per_call_s / batched_s << "},\n";
+  out << "  \"digest\": [\n";
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    const DigestRow& d = digests[i];
+    out << "    {\"symbols\": " << d.symbols << ", \"ns_per_symbol\": " << d.ns_per_symbol
+        << ", \"gb_per_s\": " << sizeof(Symbol) / d.ns_per_symbol << "}"
+        << (i + 1 < digests.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n";
   out << "}\n";
   std::printf("comb-kernel report written to %s\n", path.c_str());
 }

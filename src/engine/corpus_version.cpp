@@ -177,12 +177,18 @@ void CorpusManager::rebuild_pair(const Sequence& a, const Sequence& b,
   if (ends.empty()) ends.push_back(0);  // an empty document is one empty chunk
 
   KernelStore& store = engine_.store();
-  const auto prefix_view = [&](std::size_t i) {
-    return SequenceView(doc.data(), static_cast<std::size_t>(ends[i - 1]));
+  // `other` is the same in every prefix probe and every strip: digest it
+  // once and pair it with each piece of `doc`.
+  const std::uint64_t other_hash = sequence_digest(other);
+  const auto other_len = static_cast<Index>(other.size());
+  const auto key_for = [&](SequenceView piece) {
+    const std::uint64_t piece_hash = sequence_digest(piece);
+    const auto piece_len = static_cast<Index>(piece.size());
+    return chunked_side_a ? pair_key(piece_hash, piece_len, other_hash, other_len)
+                          : pair_key(other_hash, other_len, piece_hash, piece_len);
   };
   const auto prefix_key = [&](std::size_t i) {
-    return chunked_side_a ? make_pair_key(prefix_view(i), other)
-                          : make_pair_key(other, prefix_view(i));
+    return key_for(SequenceView(doc.data(), static_cast<std::size_t>(ends[i - 1])));
   };
 
   // Longest composed prefix braid already in the store. Content addressing
@@ -207,14 +213,13 @@ void CorpusManager::rebuild_pair(const Sequence& a, const Sequence& b,
   for (std::size_t i = start; i < ends.size(); ++i) {
     const Index lo = i == 0 ? 0 : ends[i - 1];
     const SequenceView piece(doc.data() + lo, static_cast<std::size_t>(ends[i] - lo));
-    const PairKey key =
-        chunked_side_a ? make_pair_key(piece, other) : make_pair_key(other, piece);
+    const PairKey key = key_for(piece);
     if (CachedKernelPtr hit = store.find(key)) {
       strips.push_back(ready_future(std::move(hit)));
       ++report.chunks_reused;
     } else {
-      strips.push_back(chunked_side_a ? engine_.entry_async(piece, other)
-                                      : engine_.entry_async(other, piece));
+      strips.push_back(chunked_side_a ? engine_.entry_async_keyed(key, piece, other)
+                                      : engine_.entry_async_keyed(key, other, piece));
       ++report.chunks_computed;
     }
   }

@@ -120,10 +120,8 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
       const Index start = spec.row_start(next_submit);
       const SequenceView strip_a = a.subspan(static_cast<std::size_t>(start),
                                              static_cast<std::size_t>(spec.window));
-      const PairKey key{.hash_a = sequence_digest(strip_a),
-                        .hash_b = hash_b,
-                        .len_a = spec.window,
-                        .len_b = static_cast<Index>(b.size())};
+      const PairKey key = pair_key(sequence_digest(strip_a), spec.window, hash_b,
+                                   static_cast<Index>(b.size()));
       ahead.push_back(entry_async_keyed(key, strip_a, b));
       ++next_submit;
     }

@@ -106,6 +106,15 @@ class ComparisonEngine {
   /// Cache and disk hits return an already-resolved future.
   std::shared_future<CachedKernelPtr> entry_async(SequenceView a, SequenceView b);
 
+  /// entry_async with the content key already computed, for callers that
+  /// pair one side with many others and digest it once (see pair_key): the
+  /// alignment-plot planner pairs b with every grid row's strip, corpus
+  /// upserts pair the other document with every chunk. `key` must equal
+  /// make_pair_key(a, b).
+  std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
+                                                        SequenceView a,
+                                                        SequenceView b);
+
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
@@ -152,14 +161,6 @@ class ComparisonEngine {
   [[nodiscard]] KernelStore& store() { return store_; }
 
  private:
-  /// entry_async with the content key already computed. The alignment-plot
-  /// planner digests `b` once per plot instead of once per grid row -- at
-  /// dense strides the per-row re-digest would otherwise rival the query
-  /// work itself. `key` must equal make_pair_key(a, b).
-  std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
-                                                        SequenceView a,
-                                                        SequenceView b);
-
   EngineOptions options_;
   Env* env_;
   KernelStore store_;

@@ -4,9 +4,16 @@
 // not by caller-supplied names: two requests for the same (a, b) pair -- from
 // different connections, or the same corpus record under two ids -- hit the
 // same cache entry and the same on-disk kernel file. A key is the pair of
-// 64-bit FNV-1a digests of the symbol data plus both lengths; lengths are
+// 64-bit sequence digests of the symbol data plus both lengths; lengths are
 // kept explicit so hash collisions between strings of different sizes are
 // structurally impossible and so the store can size-check files cheaply.
+//
+// The digest is word-parallel (an xxHash64-style construction over the
+// 32-bit symbols): four independent 64-bit lanes each absorb one two-symbol
+// word per step, so a warm read's digest costs a few multiply chains in
+// flight at once rather than one serial multiply per input byte. Words are
+// assembled arithmetically from symbol values, never by reinterpreting
+// memory, so hex() names are the same on every byte order.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +42,17 @@ struct PairKey {
 /// Digests the symbol data of both strings into a PairKey.
 PairKey make_pair_key(SequenceView a, SequenceView b);
 
-/// FNV-1a over a symbol sequence (the digest make_pair_key uses per side).
+/// The 64-bit digest of a symbol sequence (the one make_pair_key uses per
+/// side). Every symbol bit and the length reach the result.
 std::uint64_t sequence_digest(SequenceView s);
+
+/// A PairKey from per-side digests already in hand, for callers that pair
+/// one side with many others: pair_key(sequence_digest(a), |a|,
+/// sequence_digest(b), |b|) == make_pair_key(a, b).
+constexpr PairKey pair_key(std::uint64_t hash_a, Index len_a, std::uint64_t hash_b,
+                           Index len_b) {
+  return PairKey{.hash_a = hash_a, .hash_b = hash_b, .len_a = len_a, .len_b = len_b};
+}
 
 struct PairKeyHash {
   std::size_t operator()(const PairKey& k) const noexcept {

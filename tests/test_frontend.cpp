@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -81,15 +82,25 @@ class Client {
   }
 
   void send_bytes(std::string_view bytes) {
+    if (!send_unless_closed(bytes)) throw std::runtime_error("client write failed");
+  }
+
+  /// Sends all of `bytes`; false if the server closed the connection first
+  /// (EPIPE/ECONNRESET) -- for tests where that close is the outcome under
+  /// test. MSG_NOSIGNAL keeps a write into a closed socket from raising
+  /// SIGPIPE. Any other write error throws.
+  bool send_unless_closed(std::string_view bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const auto n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+      const auto n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) return false;
         throw std::runtime_error("client write failed");
       }
       off += static_cast<std::size_t>(n);
     }
+    return true;
   }
 
   void send(const Request& request) { send_bytes(frame_payload(encode_request(request))); }
@@ -392,7 +403,11 @@ TEST(Frontend, NeverReadingClientIsDisconnectedAtTheWriteQueueCap) {
   batch.windows.resize(kMaxBatchWindows);
   for (WindowQuery& w : batch.windows) w.kind = QueryKind::kLcs;
   const std::string frame = frame_payload(encode_request(batch));
-  for (int i = 0; i < 8; ++i) client.send_bytes(frame);
+  // The server may disconnect before all 8 frames are written; a send that
+  // fails on the closed socket ends the sending, not the test.
+  for (int i = 0; i < 8; ++i) {
+    if (!client.send_unless_closed(frame)) break;
+  }
   EXPECT_TRUE(eventually(
       [&] { return reactor.server.stats().write_queue_disconnects == 1; }, 10000ms))
       << "server never disconnected the slow reader";
