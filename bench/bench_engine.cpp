@@ -2,8 +2,9 @@
 // of the store + cache + scheduler stack under three request mixes, written
 // to results/bench_engine.json.
 //
-//   cold      every request is a distinct pair -- pure compute, batching is
-//             the only lever (lower bound on serving throughput).
+//   cold      every request is a distinct pair -- pure compute, spreading
+//             pairs over the workers is the only lever (lower bound on
+//             serving throughput).
 //   warm      a small pool requested many times over -- steady state is all
 //             LRU hits, measuring the query-off-cached-kernel path.
 //   coalesced many client threads hammer the same few pairs concurrently --

@@ -110,6 +110,52 @@ void BM_BitparallelCrochemore(benchmark::State& state) {
 }
 BENCHMARK(BM_BitparallelCrochemore)->Range(1 << 14, 1 << 18);
 
+// Grain rows: the same square input serial (second arg 0) and parallel (1)
+// around the OpenMP grain cut-offs of util/parallel.hpp. Below the cut-off
+// the parallel leg runs on one thread and must match the serial one; above
+// it the team must win. kCombGrainCells and kBitCombGrainCells were read off
+// the comb and bit-comb rows (one team per sweep, one barrier per
+// anti-diagonal), kRowGrainCells off the prefix rows (one fork-join per
+// anti-diagonal).
+void BM_GrainAntidiagComb(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto a = uniform_sequence(n, 4, 1);
+  const auto b = uniform_sequence(n, 4, 2);
+  const SemiLocalOptions opts{.strategy = Strategy::kAntidiagSimd,
+                              .parallel = state.range(1) != 0};
+  for (auto _ : state) benchmark::DoNotOptimize(semi_local_kernel(a, b, opts));
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_GrainAntidiagComb)
+    ->ArgsProduct({{256, 1024, 4096, 8192, 16384}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_GrainBitComb(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto a = binary_sequence(n, 1);
+  const auto b = binary_sequence(n, 2);
+  const bool parallel = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lcs_bit_combing(a, b, BitVariant::kOptimized, parallel));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_GrainBitComb)
+    ->ArgsProduct({{256, 512, 1024, 4096, 16384}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_GrainPrefixAntidiag(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto a = uniform_sequence(n, 4, 1);
+  const auto b = uniform_sequence(n, 4, 2);
+  const bool parallel = state.range(1) != 0;
+  for (auto _ : state) benchmark::DoNotOptimize(lcs_prefix_antidiag(a, b, parallel));
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_GrainPrefixAntidiag)
+    ->ArgsProduct({{256, 1024, 4096, 8192, 16384}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------------------------------------
 // Comb-kernel JSON report.
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "bitlcs/encoding.hpp"
+#include "util/parallel.hpp"
 
 namespace semilocal {
 namespace {
@@ -223,7 +224,7 @@ void sweep(State& st) {
     for (Index len = big_m - 1; len >= 1; --len) segment(len, 0, vi++);
   };
   if constexpr (Parallel) {
-#pragma omp parallel
+#pragma omp parallel if (big_m * big_n * kWordBits * kWordBits >= kBitCombGrainCells)
     phases();
   } else {
     phases();
@@ -347,7 +348,7 @@ Index run_planes(const PlaneEncoding& e) {
     for (Index len = big_m - 1; len >= 1; --len) run_segment_planes<Parallel>(st, len, 0, vi++);
   };
   if constexpr (Parallel) {
-#pragma omp parallel
+#pragma omp parallel if (big_m * big_n * kWordBits * kWordBits >= kBitCombGrainCells)
     phases();
   } else {
     phases();

@@ -10,6 +10,7 @@
 #include "core/comb_kernels.hpp"
 #include "core/workspace.hpp"
 #include "util/bits.hpp"
+#include "util/parallel.hpp"
 
 // The branching baseline must stay scalar even at -O3 -march=native (see the
 // comment at comb_cells_branching). GCC disables the vectorizers with a
@@ -233,7 +234,7 @@ void comb_grid(CombCellsFn<StrandT> fn, const Symbol* a_rev, const Symbol* b,
   assert(m >= 1 && m <= n);
   const Index full = n - m + 1;
   if constexpr (Parallel) {
-#pragma omp parallel
+#pragma omp parallel if (m * n >= kCombGrainCells)
     {
       for (Index d = 0; d < m - 1; ++d) {
         comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
@@ -350,8 +351,9 @@ SemiLocalKernel load_balanced_typed(SequenceView a, SequenceView b,
   // Phases 1 and 3 as independent sub-braids: paired iteration t combs
   // phase-1 diagonal t (length t+1) and phase-3 diagonal t (length m-1-t),
   // exactly m cells per iteration with a single barrier (Figure 2).
+  const bool fork = m * n >= kCombGrainCells;
   if (o.parallel) {
-#pragma omp parallel
+#pragma omp parallel if (fork)
     for (Index t = 0; t < m - 1; ++t) {
       comb_cells_par<StrandT, CombMode::kKernel, true>(fn, ra, pb, s1.h.data(), s1.v.data(),
                                                        t + 1, m - 1 - t, 0);
@@ -366,7 +368,7 @@ SemiLocalKernel load_balanced_typed(SequenceView a, SequenceView b,
   }
   // Phase 2: the constant-length band.
   if (o.parallel) {
-#pragma omp parallel
+#pragma omp parallel if (fork)
     for (Index k = 0; k < full; ++k) {
       comb_cells_par<StrandT, CombMode::kKernel, false>(fn, ra, pb, s2.h.data(), s2.v.data(), m, 0, k);
     }

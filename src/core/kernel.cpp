@@ -7,7 +7,7 @@
 namespace semilocal {
 
 SemiLocalKernel::SemiLocalKernel(Permutation kernel, Index m, Index n)
-    : kernel_(std::move(kernel)), m_(m), n_(n) {
+    : kernel_(std::move(kernel)), m_(m), n_(n), lazy_tree_(std::make_unique<LazyTree>()) {
   if (m < 0 || n < 0) throw std::invalid_argument("SemiLocalKernel: negative lengths");
   if (kernel_.size() != m + n) {
     throw std::invalid_argument("SemiLocalKernel: kernel order must be m + n");
@@ -17,8 +17,18 @@ SemiLocalKernel::SemiLocalKernel(Permutation kernel, Index m, Index n)
 Index SemiLocalKernel::sigma(Index i, Index j) const {
   if (dense_) return dense_->count(i, j);
   if (wavelet_) return wavelet_->count(i, j);
-  if (!tree_) tree_ = std::make_unique<MergesortTree>(kernel_);
-  return tree_->count(i, j);
+  LazyTree& lazy = *lazy_tree_;
+  std::call_once(lazy.once, [&] { lazy.tree = std::make_unique<const MergesortTree>(kernel_); });
+  return lazy.tree->count(i, j);
+}
+
+Index SemiLocalKernel::lcs() const {
+  const auto& row_to_col = kernel_.row_to_col();
+  Index crossings = 0;
+  for (Index r = m_; r < m_ + n_; ++r) {
+    if (row_to_col[static_cast<std::size_t>(r)] < n_) ++crossings;
+  }
+  return n_ - crossings;
 }
 
 Index SemiLocalKernel::h(Index i, Index j) const {

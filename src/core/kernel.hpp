@@ -15,11 +15,15 @@
 //
 // Queries answer all four semi-local sub-problems (Definition 3.2). By
 // default each query performs a dominance count in O(log^2) time through a
-// merge-sort tree built lazily on first use; small kernels can instead
-// materialize the dense distribution matrix for O(1) queries.
+// merge-sort tree built lazily on first use (once, under a std::once_flag, so
+// any number of threads may query one shared kernel); small kernels can
+// instead materialize the dense distribution matrix for O(1) queries. The
+// global score lcs() needs no structure at all: it is an O(m + n) read-off
+// of the strands that cross.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "braid/monge.hpp"
@@ -35,25 +39,30 @@ namespace semilocal {
 /// Implicit semi-local LCS solution for a fixed string pair.
 class SemiLocalKernel {
  public:
-  SemiLocalKernel() = default;
+  SemiLocalKernel() : lazy_tree_(std::make_unique<LazyTree>()) {}
 
   /// Wraps a kernel permutation of order m + n. Throws if sizes disagree.
   SemiLocalKernel(Permutation kernel, Index m, Index n);
 
   // Copying duplicates the kernel but not the lazily-built query caches.
   SemiLocalKernel(const SemiLocalKernel& other)
-      : kernel_(other.kernel_), m_(other.m_), n_(other.n_) {}
+      : kernel_(other.kernel_),
+        m_(other.m_),
+        n_(other.n_),
+        lazy_tree_(std::make_unique<LazyTree>()) {}
   SemiLocalKernel& operator=(const SemiLocalKernel& other) {
     if (this != &other) {
       kernel_ = other.kernel_;
       m_ = other.m_;
       n_ = other.n_;
-      tree_.reset();
+      lazy_tree_ = std::make_unique<LazyTree>();
       dense_.reset();
       wavelet_.reset();
     }
     return *this;
   }
+  // Moving carries the built caches along; a moved-from kernel may only be
+  // assigned to or destroyed.
   SemiLocalKernel(SemiLocalKernel&&) = default;
   SemiLocalKernel& operator=(SemiLocalKernel&&) = default;
 
@@ -65,8 +74,11 @@ class SemiLocalKernel {
   /// Element H(i, j) of the semi-local LCS matrix, i, j in [0, m+n].
   [[nodiscard]] Index h(Index i, Index j) const;
 
-  /// LCS(a, b): the global score.
-  [[nodiscard]] Index lcs() const { return h(m_, n_); }
+  /// LCS(a, b): the global score. H(m, n) = n - sigma(m, n), and the rows
+  /// >= m with columns < n are exactly the top-entry strands leaving through
+  /// the bottom, so this counts them in O(m + n) without any dominance
+  /// structure.
+  [[nodiscard]] Index lcs() const;
 
   /// string-substring: LCS(a, b[j0, j1)), 0 <= j0 <= j1 <= n.
   [[nodiscard]] Index string_substring(Index j0, Index j1) const;
@@ -98,12 +110,19 @@ class SemiLocalKernel {
  private:
   [[nodiscard]] Index sigma(Index i, Index j) const;
 
+  // The merge-sort tree behind sigma(), built on first use. Held by pointer
+  // so the kernel stays movable (std::once_flag is not).
+  struct LazyTree {
+    std::once_flag once;
+    std::unique_ptr<const MergesortTree> tree;
+  };
+
   Permutation kernel_;
   Index m_ = 0;
   Index n_ = 0;
-  mutable std::unique_ptr<MergesortTree> tree_;      // built lazily
-  std::unique_ptr<DensePrefixOracle> dense_;         // optional
-  std::unique_ptr<WaveletTree> wavelet_;             // optional
+  std::unique_ptr<LazyTree> lazy_tree_;
+  std::unique_ptr<DensePrefixOracle> dense_;  // optional
+  std::unique_ptr<WaveletTree> wavelet_;      // optional
 };
 
 /// Kernel composition along a-concatenation (Theorem 3.4): from P_{a',b} and

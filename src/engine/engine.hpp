@@ -1,7 +1,7 @@
 // The comparison engine: store + cache + scheduler behind one facade.
 //
 // A ComparisonEngine is the long-lived object a server holds: it owns the
-// kernel store (disk tier + LRU cache), the batching scheduler, the query
+// kernel store (disk tier + LRU cache), the per-pair scheduler, the query
 // counters, and the latency samples, and exposes the query layer that
 // answers LCS-score and substring-LCS requests straight off cached kernels.
 // The flow per request:
@@ -12,8 +12,8 @@
 //                            disk hit? (load, promote) -----> answer
 //                                  | miss
 //                                  v
-//                            scheduler (coalesce, batch,
-//                            bounded queue) --> compute -----> store.put
+//                            scheduler (coalesce, one pair
+//                            per worker, bounded queue) --> compute --> store.put
 //
 // Repeated pairs therefore cost one computation for the lifetime of the
 // store -- the engine stats counters make that auditable (computed stays at
@@ -21,7 +21,8 @@
 //
 // Every cached entry carries a shared immutable QueryIndex (built once,
 // read lock-free; see engine/query.hpp), so on the warm path queries cost
-// O(log n) instead of the O(m + n) dominance scan. `index_queries = false`
+// O(log n) instead of the O(m + n) dominance scan; a kLcs answers from the
+// score the entry cached at construction and needs no index at all. `index_queries = false`
 // forces the scan path -- the ablation knob the benchmarks flip.
 #pragma once
 

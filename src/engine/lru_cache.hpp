@@ -42,11 +42,13 @@ std::size_t decoded_entry_bytes(Index order);
 
 /// A cached kernel in one of two residency tiers.
 ///
-/// Decoded tier: the kernel plus its shared immutable query index, built
-/// exactly once -- eagerly by a scheduler worker right after the kernel
-/// computation, or lazily on first query via std::call_once -- and then read
-/// lock-free: index_if_built() is a single acquire load, and index() after
-/// completion is std::call_once's fast path.
+/// Decoded tier: the kernel, its global score (read off the kernel once, at
+/// construction, in O(m+n) -- so a kLcs never waits for an index), and its
+/// shared immutable query index, built exactly once -- eagerly by a
+/// scheduler worker right after resolving the computing caller, or lazily
+/// on first window query via std::call_once -- and then read lock-free:
+/// index_if_built() is a single acquire load, and index() after completion
+/// is std::call_once's fast path.
 ///
 /// Compressed tier (disk hits under format v3): the entry holds only the
 /// validated CompressedKernel and is charged its compressed bytes, so the
@@ -61,7 +63,8 @@ std::size_t decoded_entry_bytes(Index order);
 /// number of connection threads concurrently.
 class CachedKernel {
  public:
-  explicit CachedKernel(KernelPtr kernel) : kernel_(std::move(kernel)) {}
+  explicit CachedKernel(KernelPtr kernel)
+      : kernel_(std::move(kernel)), lcs_(kernel_->lcs()) {}
   /// Compressed-resident entry. `decoded_blocks` (optional, shared so it
   /// survives the store) is bumped per block if a full decode happens.
   explicit CachedKernel(
@@ -80,6 +83,10 @@ class CachedKernel {
   [[nodiscard]] Index n() const { return blob_ ? blob_->n() : kernel_->n(); }
   [[nodiscard]] Index order() const { return m() + n(); }
 
+  /// LCS(a, b) of a decoded-tier entry, cached at construction; -1 for a
+  /// compressed entry (its queries stream blocks instead).
+  [[nodiscard]] Index lcs() const { return lcs_; }
+
   /// The decoded kernel; for a compressed entry this decodes all blocks
   /// exactly once (thread-safe) and keeps the result for the entry's
   /// lifetime. The cache charge is not revisited -- promotion is the store's
@@ -93,8 +100,9 @@ class CachedKernel {
   const QueryIndex& index(std::atomic<std::uint64_t>* builds = nullptr) const {
     std::call_once(index_once_, [this, builds] {
       index_ = std::make_unique<const QueryIndex>(kernel());
-      index_ready_.store(index_.get(), std::memory_order_release);
+      // Count before publishing: whoever sees the index also sees the count.
       if (builds) builds->fetch_add(1, std::memory_order_relaxed);
+      index_ready_.store(index_.get(), std::memory_order_release);
     });
     return *index_;
   }
@@ -132,6 +140,7 @@ class CachedKernel {
   std::shared_ptr<std::atomic<std::uint64_t>> decoded_blocks_;
   mutable std::once_flag kernel_once_;
   mutable KernelPtr kernel_;
+  Index lcs_ = -1;  // after kernel_: initialised from it
   mutable std::atomic<std::uint32_t> find_hits_{0};
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<const QueryIndex> index_;

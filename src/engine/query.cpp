@@ -45,9 +45,7 @@ Index compressed_answer(const CompressedKernel& blob, const HQuery& q,
 
 }  // namespace
 
-Index kernel_lcs(const SemiLocalKernel& kernel) {
-  return scan_answer(kernel, lcs_query(kernel.m(), kernel.n()));
-}
+Index kernel_lcs(const SemiLocalKernel& kernel) { return kernel.lcs(); }
 
 Index kernel_string_substring(const SemiLocalKernel& kernel, Index j0, Index j1) {
   return scan_answer(kernel, string_substring_query(kernel.m(), kernel.n(), j0, j1));
@@ -65,9 +63,12 @@ Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                              counters);
   }
   if (use_index) {
+    if (counters) counters->indexed.fetch_add(1, std::memory_order_relaxed);
+    // The global score was read off the kernel when the entry was built; a
+    // cold kLcs must not wait on (or trigger) the index build.
+    if (kind == QueryKind::kLcs && !entry.is_compressed()) return entry.lcs();
     const QueryIndex& index =
         entry.index(counters ? &counters->index_builds : nullptr);
-    if (counters) counters->indexed.fetch_add(1, std::memory_order_relaxed);
     switch (kind) {
       case QueryKind::kLcs:
         return index.lcs();

@@ -6,7 +6,8 @@
 //   * Indexed (the warm serving path): O(log n) dominance counts through the
 //     entry's shared immutable QueryIndex, built exactly once (eagerly by a
 //     scheduler worker, or lazily via std::call_once) and then read
-//     lock-free.
+//     lock-free. A kLcs on a decoded entry returns the global score the
+//     entry cached at construction and never touches the index.
 //   * Compressed (compressed-resident entries): the dominance count streamed
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
@@ -36,7 +37,8 @@ namespace semilocal {
 /// Element H(i, j) of the semi-local LCS matrix; i, j in [0, m+n].
 Index kernel_h(const SemiLocalKernel& kernel, Index i, Index j);
 
-/// LCS(a, b): the global score, H(m, n).
+/// LCS(a, b): the global score, H(m, n) (SemiLocalKernel::lcs's O(m + n)
+/// read-off).
 Index kernel_lcs(const SemiLocalKernel& kernel);
 
 /// string-substring: LCS(a, b[j0, j1)), 0 <= j0 <= j1 <= n.

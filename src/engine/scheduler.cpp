@@ -1,8 +1,9 @@
 #include "engine/scheduler.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
+
+#include "core/workspace.hpp"
 
 namespace semilocal {
 namespace {
@@ -52,10 +53,11 @@ std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
   if (CachedKernelPtr hit = store_.find(key)) return ready_future(std::move(hit));
   if (queue_.size() >= options_.max_queue) {
     ++rejected_;
-    // Hint scales with how many batches are queued ahead of the retrier.
-    const auto waves =
-        static_cast<Index>(queue_.size() / std::max<std::size_t>(1, options_.max_batch));
-    const Index retry_ms = 5 * (waves + 1) / std::max(1, options_.workers) + 1;
+    // Hint scales with how many jobs each worker has queued ahead of the
+    // retrier: one millisecond per job (drain mode counts as one worker).
+    const auto per_worker = static_cast<Index>(
+        queue_.size() / static_cast<std::size_t>(std::max(1, options_.workers)));
+    const Index retry_ms = per_worker + 1;
     throw EngineOverloaded("engine overloaded: " + std::to_string(queue_.size()) +
                                " jobs queued (limit " + std::to_string(options_.max_queue) +
                                ")",
@@ -82,78 +84,62 @@ void KernelScheduler::worker_loop() {
       if (stop_) return;
       continue;
     }
-    run_one_batch(lock, options_.build_index);
+    run_one_job(lock, options_.build_index);
   }
 }
 
-bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
-                                    bool build_index) {
+bool KernelScheduler::run_one_job(std::unique_lock<std::mutex>& lock, bool build_index) {
   if (queue_.empty()) return false;
-  std::vector<JobPtr> batch;
-  batch.reserve(std::min(queue_.size(), options_.max_batch));
-  while (!queue_.empty() && batch.size() < options_.max_batch) {
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
+  const JobPtr job = std::move(queue_.front());
+  queue_.pop_front();
   ++batches_;
   lock.unlock();
 
-  std::vector<SequencePair> pairs;
-  pairs.reserve(batch.size());
-  for (const JobPtr& job : batch) pairs.push_back({job->a, job->b});
   SemiLocalOptions per_pair = options_.compute;
-  per_pair.parallel = false;  // this thread's tls_workspace serves the batch
-  std::vector<CachedKernelPtr> results(batch.size());
+  per_pair.parallel = false;  // pairs are the parallel unit, one per worker
+  CachedKernelPtr entry;
   std::exception_ptr failure;
   try {
-    auto kernels = semi_local_kernel_batch(pairs, per_pair);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      results[i] = std::make_shared<const CachedKernel>(
-          std::make_shared<const SemiLocalKernel>(std::move(kernels[i])));
-    }
+    entry = std::make_shared<const CachedKernel>(std::make_shared<const SemiLocalKernel>(
+        semi_local_kernel(job->a, job->b, per_pair, &tls_workspace())));
   } catch (...) {
     failure = std::current_exception();
   }
 
-  // Publish to the store before fulfilling promises or clearing inflight_,
-  // so no submit() window exists in which a finished pair is found nowhere.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (results[i]) store_.put(batch[i]->key, results[i]);
-  }
+  // Publish to the store before fulfilling the promise or clearing
+  // inflight_, so no submit() window exists in which a finished pair is
+  // found nowhere.
+  if (entry) store_.put(job->key, entry);
   // Entries whose earlier persist failed get their retry here, piggybacked
-  // on compute batches so a recovered disk drains the pending set without a
+  // on compute jobs so a recovered disk drains the pending set without a
   // dedicated timer thread.
   store_.retry_pending();
 
-  // Settle the books before resolving the promises: a caller whose
+  // Settle the books before resolving the promise: a caller whose
   // future.get() has returned must observe the computation in stats().
   // (set_value under the lock is fine -- woken waiters merely block on
-  // mutex_ until this batch finishes bookkeeping.)
+  // mutex_ until this job finishes bookkeeping.)
   lock.lock();
-  computed_ += failure ? 0 : batch.size();
-  for (const JobPtr& job : batch) inflight_.erase(job->key);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (failure) {
-      batch[i]->promise.set_exception(failure);
-    } else {
-      if (latency_) {
-        latency_->record(static_cast<double>(env_->now_ns() - batch[i]->queued_ns) /
-                         1e6);
-      }
-      const CachedKernelPtr& entry = results[i];
-      batch[i]->promise.set_value(entry);
-    }
+  inflight_.erase(job->key);
+  if (failure) {
+    job->promise.set_exception(failure);
+    return true;
   }
+  ++computed_;
+  if (latency_) {
+    latency_->record(static_cast<double>(env_->now_ns() - job->queued_ns) / 1e6);
+  }
+  job->promise.set_value(entry);
 
-  // Eager index builds come *after* the promises resolve: the computing
-  // caller's latency stops at set_value, and the entry's std::call_once
-  // arbitrates cleanly if a fast client starts querying before the build
-  // lands. Done outside the lock -- builds are pure CPU on private data.
-  if (build_index && !failure) {
+  // The eager index build comes *after* the promise resolves: the computing
+  // caller's latency stops at set_value (a kLcs answers from the entry's
+  // cached score and never waits for it), and the entry's std::call_once
+  // arbitrates cleanly if a fast client starts a window query before the
+  // build lands. Done outside the lock -- the build is pure CPU on private
+  // data.
+  if (build_index) {
     lock.unlock();
-    for (const CachedKernelPtr& entry : results) {
-      if (entry) (void)entry->index(counters_ ? &counters_->index_builds : nullptr);
-    }
+    (void)entry->index(counters_ ? &counters_->index_builds : nullptr);
     lock.lock();
   }
   return true;
@@ -161,11 +147,11 @@ bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
 
 std::size_t KernelScheduler::drain() {
   std::unique_lock lock(mutex_);
-  std::size_t batches = 0;
+  std::size_t jobs = 0;
   // Never build indexes in drain mode: a workers = 0 engine answers its
-  // first query through the lazy std::call_once path instead.
-  while (run_one_batch(lock, /*build_index=*/false)) ++batches;
-  return batches;
+  // first window query through the lazy std::call_once path instead.
+  while (run_one_job(lock, /*build_index=*/false)) ++jobs;
+  return jobs;
 }
 
 SchedulerStats KernelScheduler::stats() const {

@@ -1,19 +1,21 @@
-// Batching request scheduler for kernel computations.
+// Per-pair request scheduler for kernel computations.
 //
-// The scheduler turns independent cache misses into efficient compute:
+// The scheduler turns independent cache misses into parallel compute:
 //
 //   * Coalescing. An in-flight map keyed by PairKey gives every duplicate
 //     submission the same shared_future -- N concurrent requests for one
 //     pair cost one kernel computation.
-//   * Batching. Workers pop up to max_batch queued jobs at once and run
-//     them through semi_local_kernel_batch, so each worker reuses its
-//     persistent tls_workspace() across the batch and reaches the
-//     zero-allocation steady state PR 1 built.
+//   * Per-pair jobs. A worker pops one queued job, combs it on its
+//     persistent tls_workspace() (the zero-allocation steady state of
+//     core/workspace.hpp), publishes it and resolves its promise before it
+//     pops the next. Pairs are the parallel unit, as in
+//     semi_local_kernel_batch: every idle worker takes the next pair, and no
+//     caller waits for a neighbour's comb or persist.
 //   * Backpressure. The queue is bounded; a submit that would exceed it
 //     throws EngineOverloaded carrying a retry-after hint instead of letting
 //     latency grow without bound.
 //
-// workers = 0 runs no threads; call drain() to execute queued batches on the
+// workers = 0 runs no threads; call drain() to execute queued jobs on the
 // calling thread (deterministic tests, single-threaded stdio serving).
 #pragma once
 
@@ -54,10 +56,8 @@ struct SchedulerOptions {
   int workers = 2;
   /// Pending-job bound; submissions beyond it are rejected.
   std::size_t max_queue = 256;
-  /// Cache misses grouped into one semi_local_kernel_batch call.
-  std::size_t max_batch = 8;
   /// Per-pair compute configuration (`parallel` is forced off: pairs are
-  /// the parallel unit, one batch per worker thread).
+  /// the parallel unit, one pair per worker thread at a time).
   SemiLocalOptions compute;
   /// Workers build each computed kernel's QueryIndex right after resolving
   /// its promise -- off the caller's latency path, so the first warm query
@@ -72,7 +72,7 @@ struct SchedulerStats {
   std::uint64_t submitted = 0;  ///< jobs accepted (incl. coalesced + fast-path)
   std::uint64_t coalesced = 0;  ///< duplicates attached to an in-flight job
   std::uint64_t computed = 0;   ///< kernels actually computed
-  std::uint64_t batches = 0;    ///< semi_local_kernel_batch invocations
+  std::uint64_t batches = 0;    ///< single-pair compute runs (one per popped job)
   std::uint64_t rejected = 0;   ///< submissions refused by backpressure
   std::size_t queue_depth = 0;  ///< jobs currently queued
   std::size_t inflight = 0;     ///< distinct pairs queued or being computed
@@ -96,8 +96,8 @@ class KernelScheduler {
   /// Throws EngineOverloaded when the queue is full.
   std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b);
 
-  /// Runs queued batches on the calling thread until the queue is empty.
-  /// Returns the number of batches executed.
+  /// Runs queued jobs on the calling thread until the queue is empty.
+  /// Returns the number of jobs executed.
   std::size_t drain();
 
   [[nodiscard]] SchedulerStats stats() const;
@@ -113,11 +113,11 @@ class KernelScheduler {
   using JobPtr = std::shared_ptr<Job>;
 
   void worker_loop();
-  /// Pops and computes one batch. `lock` is held on entry and exit,
-  /// released during compute. `build_index` additionally builds each
-  /// computed entry's QueryIndex after resolving the promises. Returns
-  /// false if the queue was empty.
-  bool run_one_batch(std::unique_lock<std::mutex>& lock, bool build_index);
+  /// Pops and computes one job. `lock` is held on entry and exit, released
+  /// during compute. `build_index` additionally builds the computed entry's
+  /// QueryIndex after resolving the promise. Returns false if the queue was
+  /// empty.
+  bool run_one_job(std::unique_lock<std::mutex>& lock, bool build_index);
 
   KernelStore& store_;
   SchedulerOptions options_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/parallel.hpp"
+
 namespace semilocal {
 
 Index lcs_prefix_scan(SequenceView a, SequenceView b, bool parallel) {
@@ -16,7 +18,7 @@ Index lcs_prefix_scan(SequenceView a, SequenceView b, bool parallel) {
   const Symbol* __restrict pb = b.data();
   for (Index i = 0; i < m; ++i) {
     const Symbol ai = a[static_cast<std::size_t>(i)];
-    if (parallel) {
+    if (parallel && n >= kRowGrainCells) {
 #pragma omp parallel for simd schedule(static)
       for (Index j = 1; j <= n; ++j) {
         const std::int64_t match = (ai == pb[j - 1]) ? 1 : 0;

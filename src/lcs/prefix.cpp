@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/parallel.hpp"
+
 namespace semilocal {
 
 Index lcs_prefix_rowmajor(SequenceView a, SequenceView b) {
@@ -55,7 +57,7 @@ Index antidiag_impl(SequenceView a, SequenceView b) {
     if (d + 1 <= m) prev[d + 1] = 0;
     if (d <= m && d >= 1) prev2[d] = 0;
     if constexpr (Parallel) {
-#pragma omp parallel for simd schedule(static)
+#pragma omp parallel for simd schedule(static) if (hi - lo + 1 >= kRowGrainCells)
       for (Index i = lo; i <= hi; ++i) {
         const Index j = d - i;
         const std::int64_t match =

@@ -6,12 +6,16 @@
 // distinct pair -- asserted via the engine stats counters, not timing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/api.hpp"
@@ -227,12 +231,22 @@ TEST(KernelStore, CorruptFileIsAMissNotACrash) {
   EXPECT_EQ(store.stats().disk_errors, 1u);
 }
 
-EngineOptions drain_mode(int max_queue = 256, int max_batch = 8) {
+EngineOptions drain_mode(int max_queue = 256) {
   EngineOptions options;
   options.scheduler.workers = 0;  // deterministic: compute only in drain()
   options.scheduler.max_queue = static_cast<std::size_t>(max_queue);
-  options.scheduler.max_batch = static_cast<std::size_t>(max_batch);
   return options;
+}
+
+/// A worker resolves the computing caller before its eager index build, and
+/// a kLcs never waits for that build; tests that pin the build count wait
+/// for it to land first (bounded, so a missing build fails instead of
+/// hanging).
+void wait_for_index(const CachedKernel& entry) {
+  for (int i = 0; i < 5000 && entry.index_if_built() == nullptr; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(entry.index_if_built(), nullptr) << "eager index build never landed";
 }
 
 TEST(Scheduler, DuplicateSubmissionsCoalesceToOneComputation) {
@@ -279,7 +293,7 @@ TEST(Scheduler, FullQueueRejectsWithRetryHint) {
 /// every accepted future resolved).
 TEST(Scheduler, RetryAfterHintsAreHonoredAndDrainLeavesNoStuckFutures) {
   constexpr std::uint64_t kPairs = 24;
-  ComparisonEngine engine(drain_mode(/*max_queue=*/4, /*max_batch=*/2));
+  ComparisonEngine engine(drain_mode(/*max_queue=*/4));
   std::vector<std::shared_future<CachedKernelPtr>> accepted;
   std::uint64_t rejections = 0;
   for (std::uint64_t p = 0; p < kPairs; ++p) {
@@ -315,16 +329,129 @@ TEST(Scheduler, RetryAfterHintsAreHonoredAndDrainLeavesNoStuckFutures) {
   EXPECT_EQ(stats.scheduler.inflight, 0u);
 }
 
-TEST(Scheduler, BatchesGroupQueuedMisses) {
-  ComparisonEngine engine(drain_mode(/*max_queue=*/256, /*max_batch=*/4));
+TEST(Scheduler, EachQueuedMissRunsAsItsOwnJob) {
+  ComparisonEngine engine(drain_mode());
+  std::vector<std::shared_future<CachedKernelPtr>> futures;
   for (std::uint64_t s = 0; s < 8; ++s) {
-    (void)engine.entry_async(testing::random_string(24, 4, 100 + s * 2),
-                              testing::random_string(24, 4, 101 + s * 2));
+    futures.push_back(engine.entry_async(testing::random_string(24, 4, 100 + s * 2),
+                                         testing::random_string(24, 4, 101 + s * 2)));
   }
-  engine.drain();
+  EXPECT_EQ(engine.drain(), 8u);  // one run per queued pair
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.computed, 8u);
-  EXPECT_EQ(stats.scheduler.batches, 2u);  // 8 jobs / max_batch 4
+  EXPECT_EQ(stats.scheduler.batches, 8u);  // the "batches" counter counts single-pair runs
+  EXPECT_EQ(stats.scheduler.queue_depth, 0u);
+  for (const auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_NE(f.get(), nullptr);
+  }
+}
+
+/// An Env over the real filesystem whose kernel writes a test can hold up:
+/// the first write waits for release(); the third waits (bounded) for
+/// `watched` to become ready and records whether it did.
+class GatedWriteEnv : public Env {
+ public:
+  std::string read_file(const std::string& path) override { return base_.read_file(path); }
+  MappedFilePtr map_file(const std::string& path) override { return base_.map_file(path); }
+  void rename_file(const std::string& from, const std::string& to) override {
+    base_.rename_file(from, to);
+  }
+  void remove_file(const std::string& path) override { base_.remove_file(path); }
+  std::vector<std::string> list_dir(const std::string& dir) override {
+    return base_.list_dir(dir);
+  }
+  bool exists(const std::string& path) override { return base_.exists(path); }
+  bool create_dirs(const std::string& dir) override { return base_.create_dirs(dir); }
+  std::uint64_t now_ns() override { return base_.now_ns(); }
+
+  void write_file(const std::string& path, std::string_view data) override {
+    std::unique_lock lock(mutex_);
+    const int nth = ++writes_;
+    changed_.notify_all();
+    if (nth == 1) {
+      changed_.wait_for(lock, std::chrono::seconds(10), [this] { return released_; });
+    } else if (nth == 3) {
+      const std::shared_future<CachedKernelPtr> watched = watched_;
+      lock.unlock();
+      watched_ready_at_third_write_ =
+          watched.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+      lock.lock();
+    }
+    lock.unlock();
+    base_.write_file(path, data);
+  }
+
+  void wait_for_first_write() {
+    std::unique_lock lock(mutex_);
+    changed_.wait_for(lock, std::chrono::seconds(10), [this] { return writes_ >= 1; });
+  }
+  void release(std::shared_future<CachedKernelPtr> watched) {
+    std::lock_guard lock(mutex_);
+    watched_ = std::move(watched);
+    released_ = true;
+    changed_.notify_all();
+  }
+  [[nodiscard]] bool watched_ready_at_third_write() const {
+    return watched_ready_at_third_write_;
+  }
+
+ private:
+  Env& base_ = real_env();
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int writes_ = 0;
+  bool released_ = false;
+  std::shared_future<CachedKernelPtr> watched_;
+  std::atomic<bool> watched_ready_at_third_write_{false};
+};
+
+/// Per-pair scheduling: two pairs queued behind a busy worker are combed,
+/// persisted and resolved one at a time -- the first caller's future is
+/// ready before the second pair's kernel is even written.
+TEST(Scheduler, EachJobResolvesBeforeTheNextIsPersisted) {
+  ScratchDir dir("scheduler_per_pair");
+  GatedWriteEnv env;
+  EngineOptions options;
+  options.store.dir = dir.str();
+  options.scheduler.workers = 1;
+  options.env = &env;
+  ComparisonEngine engine(options);
+
+  // The gate pair's write (the first) holds the only worker while the two
+  // test pairs queue up behind it.
+  auto gate = engine.entry_async(testing::random_string(48, 4, 700),
+                                 testing::random_string(48, 4, 701));
+  env.wait_for_first_write();
+  auto first = engine.entry_async(testing::random_string(48, 4, 702),
+                                  testing::random_string(48, 4, 703));
+  auto second = engine.entry_async(testing::random_string(48, 4, 704),
+                                   testing::random_string(48, 4, 705));
+  ASSERT_EQ(engine.stats().scheduler.queue_depth, 2u);
+  env.release(first);
+
+  EXPECT_NE(gate.get(), nullptr);
+  EXPECT_NE(first.get(), nullptr);
+  EXPECT_NE(second.get(), nullptr);
+  EXPECT_TRUE(env.watched_ready_at_third_write())
+      << "the second pair was persisted before the first caller was answered";
+  EXPECT_EQ(engine.stats().store.disk_writes, 3u);
+}
+
+/// A cold kLcs is answered from the score the entry read off the kernel at
+/// construction: no QueryIndex is built for it, yet it counts as indexed.
+TEST(Scheduler, ColdLcsDoesNotBuildTheIndex) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(80, 4, 41);
+  const auto b = testing::random_string(96, 4, 42);
+  auto pending = engine.entry_async(a, b);
+  engine.drain();
+  EXPECT_EQ(engine.lcs(a, b), testing::lcs_oracle(a, b));
+  EXPECT_EQ(pending.get()->index_if_built(), nullptr);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries.index_builds, 0u);
+  EXPECT_EQ(stats.queries.indexed, 1u);
+  EXPECT_EQ(stats.queries.scanned, 0u);
 }
 
 TEST(QueryLayer, MatchesBruteForceOracle) {
@@ -494,11 +621,13 @@ TEST(EngineEndToEnd, RepeatedPairsAreNeverRecomputed) {
   EXPECT_EQ(stats.store.disk_writes, kDistinctPairs);
   // Both the compute path and the cache fast path record a latency sample.
   EXPECT_EQ(stats.latency.count, stats.requests);
-  // Every query went through the index; the scan fallback never fired, and
-  // each distinct pair's index was built exactly once (by the worker).
+  // Every query went through the index route (kLcs off the entry's cached
+  // score); the scan fallback never fired, and each distinct pair's index
+  // was built exactly once (by the worker, after answering the caller).
   EXPECT_EQ(stats.queries.indexed, stats.requests);
   EXPECT_EQ(stats.queries.scanned, 0u);
-  EXPECT_EQ(stats.queries.index_builds, kDistinctPairs);
+  for (const auto& [a, b] : pool) wait_for_index(*engine.store().find(make_pair_key(a, b)));
+  EXPECT_EQ(engine.stats().queries.index_builds, kDistinctPairs);
 
   // Warm restart over the same store directory: zero recompute, all disk.
   ComparisonEngine warm(options);

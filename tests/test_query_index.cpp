@@ -14,11 +14,14 @@
 //   3. Hammer tests: many threads query one shared CachedKernel
 //      concurrently (with and without a pre-built index) and every answer
 //      must match the single-threaded ground truth; the std::call_once
-//      build must run exactly once. Run these under -DSEMILOCAL_TSAN=ON
-//      (the tsan preset) to get data-race checking, not just correctness.
+//      build must run exactly once. The same holds for a bare
+//      SemiLocalKernel queried through its own member API, whose lazy
+//      merge-sort tree is built under a once-flag. Run these under the tsan
+//      preset to get data-race checking, not just correctness.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -323,7 +326,7 @@ TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
   options.scheduler.workers = 2;
   ComparisonEngine engine(options);
 
-  const Index expected = engine.lcs(a, b);  // cold: computes + builds
+  const Index expected = engine.lcs(a, b);  // cold: computes, then builds
   constexpr int kThreads = 6;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> team;
@@ -338,11 +341,65 @@ TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
   for (std::thread& t : team) t.join();
 
   EXPECT_EQ(mismatches.load(), 0);
+  // kLcs answers from the entry's cached score, so the worker's eager index
+  // build (after it resolved the cold caller) may still be in progress.
+  const CachedKernelPtr entry = engine.store().find(make_pair_key(a, b));
+  ASSERT_NE(entry, nullptr);
+  for (int i = 0; i < 5000 && entry->index_if_built() == nullptr; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries.scanned, 0u);
   EXPECT_EQ(stats.queries.indexed, static_cast<std::uint64_t>(kThreads) * 40 + 1);
   EXPECT_EQ(stats.queries.index_builds, 1u);
   EXPECT_EQ(stats.scheduler.computed, 1u);
+}
+
+// Hammer: one shared bare kernel queried through its public member API by
+// many threads at once, so the first h() calls race the lazy merge-sort tree
+// build. Every answer must match the stateless scan.
+TEST(SharedKernelHammer, ConcurrentMemberQueriesOnFirstUse) {
+  const auto a = testing::random_string(140, 4, 51);
+  const auto b = testing::random_string(170, 4, 52);
+  const SemiLocalKernel kernel = semi_local_kernel(a, b);
+  const Index m = kernel.m();
+  const Index n = kernel.n();
+
+  struct Probe {
+    Index i, j, h, j0, j1, substring;
+  };
+  std::vector<Probe> probes;
+  Rng rng(91);
+  for (int q = 0; q < 64; ++q) {
+    Probe p{};
+    p.i = rng.uniform(0, m + n);
+    p.j = rng.uniform(0, m + n);
+    p.h = kernel_h(kernel, p.i, p.j);
+    p.j0 = rng.uniform(0, n);
+    p.j1 = rng.uniform(p.j0, n);
+    p.substring = kernel_string_substring(kernel, p.j0, p.j1);
+    probes.push_back(p);
+  }
+  const Index lcs = testing::lcs_oracle(a, b);
+
+  constexpr int kThreads = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> team;
+  team.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    team.emplace_back([&, t] {
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        const Probe& probe = probes[(p + static_cast<std::size_t>(t) * 7) % probes.size()];
+        if (kernel.h(probe.i, probe.j) != probe.h) mismatches.fetch_add(1);
+        if (kernel.string_substring(probe.j0, probe.j1) != probe.substring) {
+          mismatches.fetch_add(1);
+        }
+        if (kernel.lcs() != lcs) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : team) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 //
 // Speaks the length-prefixed protocol of engine/protocol.hpp. Each request
 // is answered off the engine's kernel cache when possible; misses go through
-// the batching scheduler; backpressure surfaces as an Overloaded response
+// the per-pair scheduler; backpressure surfaces as an Overloaded response
 // with a retry hint (RETRY_AFTER) instead of unbounded queueing.
 //
 //   semilocal_serve --stdio [engine options]
 //       One session over stdin/stdout. Single-threaded end to end (the
-//       scheduler still batches; compute runs inline via drain()).
+//       scheduler still coalesces; compute runs inline via drain()).
 //   semilocal_serve --port P [engine options] [frontend options]
 //       Epoll reactor on 127.0.0.1:P (P = 0 picks a free port; the bound
 //       port is printed alone on stdout so spawning harnesses can read it
@@ -24,8 +24,8 @@
 //   --store DIR      kernel store directory (default: in-memory only)
 //   --cache-mb N     LRU cache budget (default 64)
 //   --workers N      scheduler threads (default: hardware)
-//   --queue N        pending-job bound (default 256)
-//   --batch N        misses grouped per compute batch (default 8)
+//   --queue N        pending-job bound (default 256); each worker combs one
+//                    queued pair at a time
 //   --algorithm X    combing strategy (see semilocal_cli)
 //   --no-persist     do not write computed kernels to the store
 //   --no-index      answer queries via the O(m+n) scan instead of the
@@ -71,7 +71,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: semilocal_serve (--stdio | --port P) [--store DIR] [--cache-mb N]\n"
-               "                       [--workers N] [--queue N] [--batch N]\n"
+               "                       [--workers N] [--queue N]\n"
                "                       [--algorithm NAME] [--no-persist] [--no-index]\n"
                "                       [--dna] [--threaded] [--backlog N] [--max-conns N]\n"
                "                       [--max-inflight N] [--write-cap-kb N]\n"
@@ -276,7 +276,6 @@ int main(int argc, char** argv) {
         static_cast<int>(args.int_option_or("workers", stdio ? 0 : hardware_threads()));
     options.scheduler.max_queue =
         static_cast<std::size_t>(args.int_option_or("queue", 256));
-    options.scheduler.max_batch = static_cast<std::size_t>(args.int_option_or("batch", 8));
     options.scheduler.compute.strategy =
         parse_strategy(args.option_or("algorithm", "antidiag"));
     options.index_queries = !args.has_flag("no-index");
