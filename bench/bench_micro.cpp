@@ -4,10 +4,11 @@
 //
 // Besides the google-benchmark suite, main() writes a machine-readable
 // comb-kernel report to results/bench_micro.json: ns/cell for every
-// dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths)
-// plus single-call vs batched semi-local throughput, and the pair-key
-// digest's ns/symbol and GB/s at 1k and 16k symbols. Run with
-// `--benchmark_filter=NONE` to emit only the JSON report.
+// dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths;
+// 16-bit strands on 16-bit symbol codes) plus single-call vs batched
+// semi-local throughput, the serial sweep of an 8000^2 grid banded vs
+// unbanded, and the pair-key digest's ns/symbol and GB/s at 1k and 16k
+// symbols. Run with `--benchmark_filter=NONE` to emit only the JSON report.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +24,8 @@
 #include "braid/steady_ant.hpp"
 #include "core/api.hpp"
 #include "core/comb_kernels.hpp"
+#include "core/iterative_combing.hpp"
+#include "core/workspace.hpp"
 #include "engine/key.hpp"
 #include "lcs/bitparallel.hpp"
 #include "lcs/prefix.hpp"
@@ -77,6 +80,32 @@ void BM_CombAntidiagSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_CombAntidiagSimd)->Range(1 << 10, 1 << 14);
 
+// Band rows: comb_antidiag's serial sweep at band heights 512..8192 rows
+// and unbanded (arg 0), on an 8000^2 grid with 16-bit strands on symbol
+// codes and a 24000 x 48000 grid with 32-bit strands on Symbols.
+// kCombBandRows in core/iterative_combing.cpp is read off these rows.
+template <typename StrandT>
+void BM_CombBand(benchmark::State& state) {
+  constexpr bool kNarrow = sizeof(StrandT) == 2;
+  const Index m = kNarrow ? 8000 : 24000;
+  const Index n = kNarrow ? 8000 : 48000;
+  const auto a = uniform_sequence(m, 4, 1);
+  const auto b = uniform_sequence(n, 4, 2);
+  const Index band_rows = state.range(0) == 0 ? m : state.range(0);
+  const CombOptions opts{.allow_16bit = kNarrow};
+  Workspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::comb_antidiag_banded(a, b, opts, band_rows, &ws));
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+BENCHMARK_TEMPLATE(BM_CombBand, std::uint16_t)
+    ->Arg(0)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_CombBand, std::uint32_t)
+    ->Arg(0)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_PrefixAntidiag(benchmark::State& state) {
   const Index n = state.range(0);
   const auto a = rounded_normal_sequence(n, 1.0, 1);
@@ -113,10 +142,11 @@ BENCHMARK(BM_BitparallelCrochemore)->Range(1 << 14, 1 << 18);
 // Grain rows: the same square input serial (second arg 0) and parallel (1)
 // around the OpenMP grain cut-offs of util/parallel.hpp. Below the cut-off
 // the parallel leg runs on one thread and must match the serial one; above
-// it the team must win. kCombGrainCells and kBitCombGrainCells were read off
-// the comb and bit-comb rows (one team per sweep, one barrier per
-// anti-diagonal), kRowGrainCells off the prefix rows (one fork-join per
-// anti-diagonal).
+// it the team must win. kCombGrainCells was read off the antidiag comb rows
+// (serial: the banded sweep; parallel: one team per sweep, one barrier per
+// anti-diagonal), kLoadBalancedGrainCells off the load-balanced rows,
+// kBitCombGrainCells off the bit-comb rows, kRowGrainCells off the prefix
+// rows (one fork-join per anti-diagonal).
 void BM_GrainAntidiagComb(benchmark::State& state) {
   const Index n = state.range(0);
   const auto a = uniform_sequence(n, 4, 1);
@@ -127,7 +157,20 @@ void BM_GrainAntidiagComb(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_GrainAntidiagComb)
-    ->ArgsProduct({{256, 1024, 4096, 8192, 16384}, {0, 1}})
+    ->ArgsProduct({{256, 1024, 4096, 8192, 16384, 24576, 32768}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_GrainLoadBalancedComb(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto a = uniform_sequence(n, 4, 1);
+  const auto b = uniform_sequence(n, 4, 2);
+  const SemiLocalOptions opts{.strategy = Strategy::kLoadBalanced,
+                              .parallel = state.range(1) != 0};
+  for (auto _ : state) benchmark::DoNotOptimize(semi_local_kernel(a, b, opts));
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_GrainLoadBalancedComb)
+    ->ArgsProduct({{4096, 8192, 16384, 24576}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_GrainBitComb(benchmark::State& state) {
@@ -179,16 +222,27 @@ double median_run_seconds(const Fn& fn) {
   return runs[runs.size() / 2];
 }
 
-/// ns/cell of one raw comb kernel over a resident strand window.
+/// ns/cell of one raw comb kernel over a resident strand window, on the
+/// symbols that strand width reads (16-bit codes for u16 strands).
 template <typename StrandT>
 double kernel_ns_per_cell(CombCellsFn<StrandT> fn) {
-  // L1-resident working set (4 arrays x 8 KB) so the measurement reflects
-  // kernel compute speed, not L2 bandwidth; real diagonals of this length
-  // dominate the antidiagonal sweep's runtime.
+  // L1-resident working set (4 arrays x 4-8 KB) so the measurement reflects
+  // kernel compute speed, not L2 bandwidth -- the banded sweep keeps its
+  // diagonals this close.
   constexpr Index kLen = 1 << 11;
   constexpr int kIters = 2000;
-  const auto a = uniform_sequence(kLen, 4, 1);
-  const auto b = uniform_sequence(kLen, 4, 2);
+  const auto sa = uniform_sequence(kLen, 4, 1);
+  const auto sb = uniform_sequence(kLen, 4, 2);
+  std::vector<CombSymbol<StrandT>> a, b;
+  if constexpr (sizeof(StrandT) == 2) {
+    Workspace ws;
+    const Workspace::SymbolCodes codes = ws.codes(sa, sb);
+    a.assign(codes.a_rev.begin(), codes.a_rev.end());
+    b.assign(codes.b.begin(), codes.b.end());
+  } else {
+    a = sa;
+    b = sb;
+  }
   std::vector<StrandT> h(kLen), v(kLen);
   for (Index i = 0; i < kLen; ++i) {
     h[static_cast<std::size_t>(i)] = static_cast<StrandT>(i);
@@ -211,7 +265,8 @@ double kernel_ns_per_cell(CombCellsFn<StrandT> fn) {
 #define SEMILOCAL_BENCH_PORTABLE 1
 template <typename StrandT>
 __attribute__((target("arch=x86-64")))
-void comb_cells_portable(const Symbol* __restrict a_rev, const Symbol* __restrict b,
+void comb_cells_portable(const CombSymbol<StrandT>* __restrict a_rev,
+                         const CombSymbol<StrandT>* __restrict b,
                          StrandT* __restrict h, StrandT* __restrict v, Index len) {
   for (Index j = 0; j < len; ++j) {
     const StrandT hs = h[j];
@@ -267,6 +322,20 @@ void write_kernel_report(const std::string& path) {
     lcs_semilocal_batch(pairs, scores, {.parallel = true});
   });
 
+  // The serial sweep on a whole 8000^2 grid (16-bit strands on codes):
+  // comb_antidiag at the library's band height against one unbanded sweep.
+  constexpr Index kGrid = 8000;
+  const auto ga = uniform_sequence(kGrid, 4, 1);
+  const auto gb = uniform_sequence(kGrid, 4, 2);
+  Workspace ws;
+  const double cells = static_cast<double>(kGrid) * kGrid;
+  const double unbanded_ns = median_run_seconds([&] {
+    benchmark::DoNotOptimize(detail::comb_antidiag_banded(ga, gb, {}, kGrid, &ws));
+  }) / cells * 1e9;
+  const double banded_ns = median_run_seconds([&] {
+    benchmark::DoNotOptimize(comb_antidiag(ga, gb, {}, &ws));
+  }) / cells * 1e9;
+
   // The content digest every warm read pays once per side (engine/key).
   struct DigestRow {
     Index symbols;
@@ -303,6 +372,9 @@ void write_kernel_report(const std::string& path) {
       << ", \"per_call_pairs_per_s\": " << kPairs / per_call_s
       << ", \"batched_pairs_per_s\": " << kPairs / batched_s
       << ", \"batched_speedup\": " << per_call_s / batched_s << "},\n";
+  out << "  \"sweep\": {\"grid\": \"" << kGrid << "x" << kGrid
+      << "\", \"unbanded_ns_per_cell\": " << unbanded_ns
+      << ", \"antidiag_ns_per_cell\": " << banded_ns << "},\n";
   out << "  \"digest\": [\n";
   for (std::size_t i = 0; i < digests.size(); ++i) {
     const DigestRow& d = digests[i];

@@ -11,6 +11,12 @@
 # many threads share one cached kernel and its once-built index, exactly the
 # code where a missing happens-before survives unnoticed on x86.
 #
+# The portable leg builds the comb tests without -march=native (the SSE2
+# x86-64 baseline) and runs test_comb_kernels and test_combing: the
+# configuration runtime kernel dispatch exists for, where the scalar kernel
+# is the autovectorized SSE2 loop and the AVX2/AVX-512 tiers are reached only
+# through CPUID dispatch.
+#
 # After the ASan suite passes, the serialize|store label slice is re-run
 # under ASan explicitly: those suites parse untrusted bytes (codec fuzz) and
 # exercise the mmap seam, so the slice must exist (a label typo would
@@ -84,6 +90,15 @@ for preset in release asan tsan; do
   echo "==> ctest ($preset)"
   ctest --preset "$preset" -j "$jobs"
 done
+
+echo "==> portable build (no -march): comb kernels and combing"
+cmake --preset portable >/dev/null
+cmake --build --preset portable -j "$jobs"
+if ! ctest --preset portable -N | grep -q 'Total Tests: [1-9]'; then
+  echo "error: the portable test filter selects no tests" >&2
+  exit 1
+fi
+ctest --preset portable -j "$jobs"
 
 echo "==> serialize|store slice under ASan"
 # -L with no matching tests exits 0, which would let a label typo silently

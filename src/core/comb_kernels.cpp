@@ -24,7 +24,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 template <typename StrandT>
-void comb_cells_scalar(const Symbol* __restrict a_rev, const Symbol* __restrict b,
+void comb_cells_scalar(const CombSymbol<StrandT>* __restrict a_rev,
+                       const CombSymbol<StrandT>* __restrict b,
                        StrandT* __restrict h, StrandT* __restrict v, Index len) {
 #pragma omp simd
   for (Index j = 0; j < len; ++j) {
@@ -39,10 +40,10 @@ void comb_cells_scalar(const Symbol* __restrict a_rev, const Symbol* __restrict 
 #if SEMILOCAL_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 tier: _mm256_min_epu16/32 + _mm256_max_epu16/32, match masks from
-// cmpeq on the 32-bit symbols, blends via blendv. Symbols are 32-bit, so the
-// 16-bit strand kernel packs two symbol-compare vectors down to one 16-bit
-// lane mask (packs is in-lane; permute4x64 restores element order).
+// AVX2 tier, 32-bit strands only: _mm256_min_epu32 + _mm256_max_epu32, the
+// match mask from cmpeq on the symbols, blends via blendv. On 16-bit strands
+// the autovectorized scalar kernel beats a hand-written AVX2 one in
+// bench_micro, so the tier's u16 slot holds the scalar kernel.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"), always_inline)) inline
@@ -71,43 +72,6 @@ void comb_cells_avx2_u32(const Symbol* __restrict a_rev, const Symbol* __restric
   if (j + 8 <= len) {
     avx2_u32_step(a_rev + j, b + j, h + j, v + j);
     j += 8;
-  }
-  if (j < len) comb_cells_scalar(a_rev + j, b + j, h + j, v + j, len - j);
-}
-
-__attribute__((target("avx2"), always_inline)) inline
-void avx2_u16_step(const Symbol* __restrict a_rev, const Symbol* __restrict b,
-                   std::uint16_t* __restrict h, std::uint16_t* __restrict v) {
-  const __m256i sa0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_rev));
-  const __m256i sb0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-  const __m256i sa1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_rev + 8));
-  const __m256i sb1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 8));
-  const __m256i m0 = _mm256_cmpeq_epi32(sa0, sb0);  // 8 x 0 / 0xFFFFFFFF
-  const __m256i m1 = _mm256_cmpeq_epi32(sa1, sb1);
-  // packs_epi32 saturates -1 -> 0xFFFF, 0 -> 0, interleaving 128-bit lanes;
-  // permute4x64(0xD8) restores lane order -> 16 x u16 match mask.
-  const __m256i match = _mm256_permute4x64_epi64(_mm256_packs_epi32(m0, m1),
-                                                 _MM_SHUFFLE(3, 1, 2, 0));
-  const __m256i hs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h));
-  const __m256i vs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  const __m256i mn = _mm256_min_epu16(hs, vs);
-  const __m256i mx = _mm256_max_epu16(hs, vs);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(h), _mm256_blendv_epi8(mn, vs, match));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(v), _mm256_blendv_epi8(mx, hs, match));
-}
-
-__attribute__((target("avx2")))
-void comb_cells_avx2_u16(const Symbol* __restrict a_rev, const Symbol* __restrict b,
-                         std::uint16_t* __restrict h, std::uint16_t* __restrict v,
-                         Index len) {
-  Index j = 0;
-  for (; j + 32 <= len; j += 32) {
-    avx2_u16_step(a_rev + j, b + j, h + j, v + j);
-    avx2_u16_step(a_rev + j + 16, b + j + 16, h + j + 16, v + j + 16);
-  }
-  if (j + 16 <= len) {
-    avx2_u16_step(a_rev + j, b + j, h + j, v + j);
-    j += 16;
   }
   if (j < len) comb_cells_scalar(a_rev + j, b + j, h + j, v + j, len - j);
 }
@@ -169,19 +133,14 @@ void comb_cells_avx512_u32(const Symbol* __restrict a_rev, const Symbol* __restr
   }
 }
 
-// One full-width (32-cell) unmasked step of the u16 kernel. The two 16-lane
-// symbol-compare masks are concatenated with kunpackw, staying in mask
-// registers (a GPR round-trip here costs more than the compare itself).
+// One full-width (32-cell) unmasked step of the u16 kernel: 16-bit symbol
+// codes, so one 32-lane compare yields the whole match mask.
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline
-void avx512_u16_step(const Symbol* __restrict a_rev, const Symbol* __restrict b,
+void avx512_u16_step(const std::uint16_t* __restrict a_rev,
+                     const std::uint16_t* __restrict b,
                      std::uint16_t* __restrict h, std::uint16_t* __restrict v) {
-  const __m512i sa0 = _mm512_loadu_si512(a_rev);
-  const __m512i sb0 = _mm512_loadu_si512(b);
-  const __m512i sa1 = _mm512_loadu_si512(a_rev + 16);
-  const __m512i sb1 = _mm512_loadu_si512(b + 16);
-  const __mmask16 match_lo = _mm512_cmpeq_epi32_mask(sa0, sb0);
-  const __mmask16 match_hi = _mm512_cmpeq_epi32_mask(sa1, sb1);
-  const __mmask32 match = _mm512_kunpackw(match_hi, match_lo);
+  const __mmask32 match =
+      _mm512_cmpeq_epi16_mask(_mm512_loadu_si512(a_rev), _mm512_loadu_si512(b));
   const __m512i hs = _mm512_loadu_si512(h);
   const __m512i vs = _mm512_loadu_si512(v);
   const __m512i mn = _mm512_min_epu16(hs, vs);
@@ -191,7 +150,8 @@ void avx512_u16_step(const Symbol* __restrict a_rev, const Symbol* __restrict b,
 }
 
 __attribute__((target("avx512f,avx512bw")))
-void comb_cells_avx512_u16(const Symbol* __restrict a_rev, const Symbol* __restrict b,
+void comb_cells_avx512_u16(const std::uint16_t* __restrict a_rev,
+                           const std::uint16_t* __restrict b,
                            std::uint16_t* __restrict h, std::uint16_t* __restrict v,
                            Index len) {
   Index j = 0;
@@ -204,17 +164,10 @@ void comb_cells_avx512_u16(const Symbol* __restrict a_rev, const Symbol* __restr
     j += 32;
   }
   if (j < len) {
-    const Index rem = len - j;
-    const __mmask32 lane = static_cast<__mmask32>((1ull << rem) - 1);
-    const __mmask16 lane_lo = static_cast<__mmask16>(lane);
-    const __mmask16 lane_hi = static_cast<__mmask16>(lane >> 16);
-    const __m512i sa0 = _mm512_maskz_loadu_epi32(lane_lo, a_rev + j);
-    const __m512i sb0 = _mm512_maskz_loadu_epi32(lane_lo, b + j);
-    const __m512i sa1 = _mm512_maskz_loadu_epi32(lane_hi, a_rev + j + 16);
-    const __m512i sb1 = _mm512_maskz_loadu_epi32(lane_hi, b + j + 16);
-    const __mmask32 match =
-        static_cast<__mmask32>(_mm512_mask_cmpeq_epi32_mask(lane_lo, sa0, sb0)) |
-        (static_cast<__mmask32>(_mm512_mask_cmpeq_epi32_mask(lane_hi, sa1, sb1)) << 16);
+    const __mmask32 lane = static_cast<__mmask32>((1ull << (len - j)) - 1);
+    const __m512i sa = _mm512_maskz_loadu_epi16(lane, a_rev + j);
+    const __m512i sb = _mm512_maskz_loadu_epi16(lane, b + j);
+    const __mmask32 match = _mm512_mask_cmpeq_epi16_mask(lane, sa, sb);
     const __m512i hs = _mm512_maskz_loadu_epi16(lane, h + j);
     const __m512i vs = _mm512_maskz_loadu_epi16(lane, v + j);
     const __m512i mn = _mm512_min_epu16(hs, vs);
@@ -236,7 +189,7 @@ constexpr CombKernelTable kScalarTable{
 
 #if SEMILOCAL_X86
 constexpr CombKernelTable kAvx2Table{
-    &comb_cells_avx2_u16, &comb_cells_avx2_u32, KernelIsa::kAvx2, "avx2"};
+    &comb_cells_scalar<std::uint16_t>, &comb_cells_avx2_u32, KernelIsa::kAvx2, "avx2"};
 constexpr CombKernelTable kAvx512Table{
     &comb_cells_avx512_u16, &comb_cells_avx512_u32, KernelIsa::kAvx512, "avx512"};
 #endif

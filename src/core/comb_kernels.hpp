@@ -9,11 +9,18 @@
 //   v'[j] = match ? h[j] : max(h[j], v[j]);
 //
 // which is exactly pairwise unsigned min/max plus a masked blend -- the
-// paper's Section 6 AVX-512 suggestion. This header exposes hand-written
-// AVX2 and AVX-512 implementations of that update for both strand widths
-// (uint16_t and uint32_t), a portable scalar fallback (the autovectorized
-// bitwise-select loop, i.e. the paper's semi_antidiag_SIMD inner loop), and
-// a CPUID-based dispatcher resolved once per process.
+// paper's Section 6 AVX-512 suggestion. This header exposes a portable
+// scalar kernel (the autovectorized bitwise-select loop, i.e. the paper's
+// semi_antidiag_SIMD inner loop), hand-written AVX-512 kernels for both
+// strand widths (uint16_t and uint32_t), a hand-written AVX2 kernel for
+// 32-bit strands only, and a CPUID-based dispatcher resolved once per
+// process. A hand-written tier is kept only where bench_micro shows it
+// beating the scalar kernel: AVX2 on 16-bit strands does not, so that table
+// slot holds the scalar kernel.
+//
+// 16-bit strands read 16-bit symbol codes (Workspace::codes), 32-bit strands
+// the raw 32-bit Symbols: the u16 working set per cell is then 8 bytes, and
+// the AVX-512 u16 kernel needs a single 32-lane compare per vector.
 //
 // Every implementation produces bit-identical strand arrays: the dispatch
 // is purely a throughput decision, never a semantic one.
@@ -24,6 +31,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "util/types.hpp"
 
@@ -33,16 +41,22 @@ namespace semilocal {
 enum class KernelIsa {
   kAuto,    ///< resolve via kernel_dispatch() (env override or best CPU tier)
   kScalar,  ///< portable branchless loop (compiler autovectorization only)
-  kAvx2,    ///< 256-bit min/max + blendv
+  kAvx2,    ///< 256-bit min/max + blendv (32-bit strands; u16 is scalar)
   kAvx512,  ///< 512-bit masked vpminu/vpmaxu + mask blends (needs BW for u16)
 };
+
+/// The symbol representation the kernels for one strand width read: 16-bit
+/// codes for 16-bit strands, Symbols for 32-bit strands.
+template <typename StrandT>
+using CombSymbol = std::conditional_t<sizeof(StrandT) == 2, std::uint16_t, Symbol>;
 
 /// Combs `len` consecutive cells of one anti-diagonal segment. All pointers
 /// are pre-offset to the segment start: cell j reads symbols a_rev[j], b[j]
 /// and updates strands h[j], v[j].
 template <typename StrandT>
-using CombCellsFn = void (*)(const Symbol* a_rev, const Symbol* b,
-                             StrandT* h, StrandT* v, Index len);
+using CombCellsFn = void (*)(const CombSymbol<StrandT>* a_rev,
+                             const CombSymbol<StrandT>* b, StrandT* h, StrandT* v,
+                             Index len);
 
 /// Function-pointer table for one ISA tier, covering both strand widths.
 struct CombKernelTable {

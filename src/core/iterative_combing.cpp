@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/comb_kernels.hpp"
@@ -31,6 +32,13 @@
 
 namespace semilocal {
 namespace {
+
+// Row height of the serial sweep's bands (comb_bands). A band's anti-diagonal
+// touches 8 bytes per cell with 16-bit strands on 16-bit codes (16 bytes with
+// 32-bit strands on Symbols), so at this height the diagonal in flight stays
+// in L1d instead of streaming whole-grid diagonals from L2. Read off the
+// BM_CombBand rows of bench_micro; a constant, not an option.
+constexpr Index kCombBandRows = 2048;
 
 // Converts final strand arrays to the kernel permutation (Listing 1 phase 3):
 // strand h[l] exits at right-edge position n + l, strand v[r] at bottom-edge
@@ -110,7 +118,8 @@ Permutation build_subbraid(const StrandT* h, const StrandT* v, Index m, Index n,
 // conditional-store behaviour the paper measures against.
 template <typename StrandT>
 SEMILOCAL_NO_VECTORIZE_FN
-void comb_cells_branching(const Symbol* __restrict a_rev, const Symbol* __restrict b,
+void comb_cells_branching(const CombSymbol<StrandT>* __restrict a_rev,
+                          const CombSymbol<StrandT>* __restrict b,
                           StrandT* __restrict h, StrandT* __restrict v,
                           Index len, Index hi, Index vi) {
   SEMILOCAL_NO_VECTORIZE_LOOP
@@ -133,7 +142,8 @@ enum class CombMode {
 
 template <typename StrandT, CombMode Mode>
 inline void comb_cells(CombCellsFn<StrandT> fn,
-                       const Symbol* __restrict a_rev, const Symbol* __restrict b,
+                       const CombSymbol<StrandT>* __restrict a_rev,
+                       const CombSymbol<StrandT>* __restrict b,
                        StrandT* __restrict h, StrandT* __restrict v,
                        Index len, Index hi, Index vi) {
   if constexpr (Mode == CombMode::kKernel) {
@@ -163,7 +173,8 @@ inline void comb_cells(CombCellsFn<StrandT> fn,
 // would produce and runs the dispatched kernel on this thread's chunk.
 template <typename StrandT, CombMode Mode, bool NoWait>
 inline void comb_cells_par(CombCellsFn<StrandT> fn,
-                           const Symbol* __restrict a_rev, const Symbol* __restrict b,
+                           const CombSymbol<StrandT>* __restrict a_rev,
+                           const CombSymbol<StrandT>* __restrict b,
                            StrandT* __restrict h, StrandT* __restrict v,
                            Index len, Index hi, Index vi) {
   if constexpr (Mode == CombMode::kKernel) {
@@ -227,39 +238,77 @@ inline void comb_cells_par(CombCellsFn<StrandT> fn,
   }
 }
 
-// Full three-phase anti-diagonal sweep (requires 1 <= m <= n).
-template <typename StrandT, CombMode Mode, bool Parallel>
-void comb_grid(CombCellsFn<StrandT> fn, const Symbol* a_rev, const Symbol* b,
-               StrandT* h, StrandT* v, Index m, Index n) {
+// Full three-phase anti-diagonal sweep on the calling thread (requires
+// 1 <= m <= n).
+template <typename StrandT, CombMode Mode>
+void comb_diagonals(CombCellsFn<StrandT> fn, const CombSymbol<StrandT>* a_rev,
+                    const CombSymbol<StrandT>* b, StrandT* h, StrandT* v, Index m,
+                    Index n) {
   assert(m >= 1 && m <= n);
   const Index full = n - m + 1;
-  if constexpr (Parallel) {
-#pragma omp parallel if (m * n >= kCombGrainCells)
-    {
-      for (Index d = 0; d < m - 1; ++d) {
-        comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
-      }
-      for (Index k = 0; k < full; ++k) {
-        comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, m, 0, k);
-      }
-      Index vi = full;
-      for (Index len = m - 1; len >= 1; --len) {
-        comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, len, 0, vi);
-        ++vi;
-      }
-    }
-  } else {
+  for (Index d = 0; d < m - 1; ++d) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
+  }
+  for (Index k = 0; k < full; ++k) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, m, 0, k);
+  }
+  Index vi = full;
+  for (Index len = m - 1; len >= 1; --len) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, len, 0, vi);
+    ++vi;
+  }
+}
+
+// Serial sweep in bands of `band_rows` grid rows, top band first, each band
+// combed in anti-diagonal order with the v strands carried down to the next.
+// Every cell still runs after its upper and left neighbours, so the braid is
+// the one the unbanded sweep produces; only the order of independent cells
+// changes. Band b covers rows [r0, r0 + rows), i.e. h slots and a_rev
+// entries [m - r0 - rows, m - r0).
+template <typename StrandT, CombMode Mode>
+void comb_bands(CombCellsFn<StrandT> fn, const CombSymbol<StrandT>* a_rev,
+                const CombSymbol<StrandT>* b, StrandT* h, StrandT* v, Index m, Index n,
+                Index band_rows) {
+  for (Index r0 = 0; r0 < m; r0 += band_rows) {
+    const Index rows = std::min(band_rows, m - r0);
+    const Index off = m - r0 - rows;
+    comb_diagonals<StrandT, Mode>(fn, a_rev + off, b, h + off, v, rows, n);
+  }
+}
+
+// One thread team over the whole grid (requires 1 <= m <= n), a barrier per
+// anti-diagonal (Listing 4).
+template <typename StrandT, CombMode Mode>
+void comb_team(CombCellsFn<StrandT> fn, const CombSymbol<StrandT>* a_rev,
+               const CombSymbol<StrandT>* b, StrandT* h, StrandT* v, Index m, Index n) {
+  assert(m >= 1 && m <= n);
+  const Index full = n - m + 1;
+#pragma omp parallel
+  {
     for (Index d = 0; d < m - 1; ++d) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
+      comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
     }
     for (Index k = 0; k < full; ++k) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, m, 0, k);
+      comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, m, 0, k);
     }
     Index vi = full;
     for (Index len = m - 1; len >= 1; --len) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, len, 0, vi);
+      comb_cells_par<StrandT, Mode, false>(fn, a_rev, b, h, v, len, 0, vi);
       ++vi;
     }
+  }
+}
+
+// The symbols the StrandT kernels read, leased from `ws`: 16-bit codes for
+// 16-bit strands, the raw Symbols (a reversed) for 32-bit strands.
+template <typename StrandT>
+std::pair<const CombSymbol<StrandT>*, const CombSymbol<StrandT>*> comb_symbols(
+    Workspace& ws, SequenceView a, SequenceView b) {
+  if constexpr (sizeof(StrandT) == 2) {
+    const Workspace::SymbolCodes codes = ws.codes(a, b);
+    return {codes.a_rev.data(), codes.b.data()};
+  } else {
+    return {ws.reversed(a).data(), b.data()};
   }
 }
 
@@ -291,33 +340,31 @@ struct StrandSpans {
   }
 };
 
+// band_rows > 0: comb_bands on the calling thread; 0: comb_team.
 template <typename StrandT>
 SemiLocalKernel antidiag_typed(SequenceView a, SequenceView b, const CombOptions& o,
-                               Workspace& ws) {
+                               Index band_rows, Workspace& ws) {
   const Index m = static_cast<Index>(a.size());
   const Index n = static_cast<Index>(b.size());
   ws.reset();
-  const std::span<const Symbol> a_rev = ws.reversed(a);
+  const auto symbols = comb_symbols<StrandT>(ws, a, b);
+  const CombSymbol<StrandT>* ra = symbols.first;
+  const CombSymbol<StrandT>* rb = symbols.second;
   StrandSpans<StrandT> s(ws, m, n);
   const CombCellsFn<StrandT> fn = resolve_kernels(o.isa).template get<StrandT>();
-  const auto dispatch = [&]<CombMode Mode>(auto parallel) {
-    comb_grid<StrandT, Mode, decltype(parallel)::value>(
-        fn, a_rev.data(), b.data(), s.h.data(), s.v.data(), m, n);
+  const auto sweep = [&]<CombMode Mode>() {
+    if (band_rows > 0) {
+      comb_bands<StrandT, Mode>(fn, ra, rb, s.h.data(), s.v.data(), m, n, band_rows);
+    } else {
+      comb_team<StrandT, Mode>(fn, ra, rb, s.h.data(), s.v.data(), m, n);
+    }
   };
-  const CombMode mode = !o.branchless ? CombMode::kBranching
-                        : (o.minmax ? CombMode::kMinMax : CombMode::kKernel);
-  if (o.parallel) {
-    switch (mode) {
-      case CombMode::kBranching: dispatch.template operator()<CombMode::kBranching>(std::true_type{}); break;
-      case CombMode::kKernel: dispatch.template operator()<CombMode::kKernel>(std::true_type{}); break;
-      case CombMode::kMinMax: dispatch.template operator()<CombMode::kMinMax>(std::true_type{}); break;
-    }
+  if (!o.branchless) {
+    sweep.template operator()<CombMode::kBranching>();
+  } else if (o.minmax) {
+    sweep.template operator()<CombMode::kMinMax>();
   } else {
-    switch (mode) {
-      case CombMode::kBranching: dispatch.template operator()<CombMode::kBranching>(std::false_type{}); break;
-      case CombMode::kKernel: dispatch.template operator()<CombMode::kKernel>(std::false_type{}); break;
-      case CombMode::kMinMax: dispatch.template operator()<CombMode::kMinMax>(std::false_type{}); break;
-    }
+    sweep.template operator()<CombMode::kKernel>();
   }
   return SemiLocalKernel(build_kernel(s.h.data(), s.v.data(), m, n), m, n);
 }
@@ -337,9 +384,9 @@ SemiLocalKernel load_balanced_typed(SequenceView a, SequenceView b,
   const Index n = static_cast<Index>(b.size());
   const Index full = n - m + 1;
   ws.reset();
-  const std::span<const Symbol> a_rev = ws.reversed(a);
-  const Symbol* ra = a_rev.data();
-  const Symbol* pb = b.data();
+  const auto symbols = comb_symbols<StrandT>(ws, a, b);
+  const CombSymbol<StrandT>* ra = symbols.first;
+  const CombSymbol<StrandT>* pb = symbols.second;
   const CombCellsFn<StrandT> fn = resolve_kernels(o.isa).template get<StrandT>();
   // Phase boundaries: the fronts after anti-diagonal m-2 (start of the
   // constant band) and after anti-diagonal n-1 (end of the band). Phases 2
@@ -351,7 +398,7 @@ SemiLocalKernel load_balanced_typed(SequenceView a, SequenceView b,
   // Phases 1 and 3 as independent sub-braids: paired iteration t combs
   // phase-1 diagonal t (length t+1) and phase-3 diagonal t (length m-1-t),
   // exactly m cells per iteration with a single barrier (Figure 2).
-  const bool fork = m * n >= kCombGrainCells;
+  const bool fork = m * n >= kLoadBalancedGrainCells;
   if (o.parallel) {
 #pragma omp parallel if (fork)
     for (Index t = 0; t < m - 1; ++t) {
@@ -414,16 +461,28 @@ SemiLocalKernel comb_rowmajor(SequenceView a, SequenceView b) {
 
 SemiLocalKernel comb_antidiag(SequenceView a, SequenceView b, const CombOptions& opts,
                               Workspace* ws) {
+  const Index cells = static_cast<Index>(a.size()) * static_cast<Index>(b.size());
+  const Index band_rows = opts.parallel && cells >= kCombGrainCells ? 0 : kCombBandRows;
+  return detail::comb_antidiag_banded(a, b, opts, band_rows, ws);
+}
+
+namespace detail {
+
+SemiLocalKernel comb_antidiag_banded(SequenceView a, SequenceView b,
+                                     const CombOptions& opts, Index band_rows,
+                                     Workspace* ws) {
   const Index m = static_cast<Index>(a.size());
   const Index n = static_cast<Index>(b.size());
   if (m == 0 || n == 0) return empty_kernel(m, n);
-  if (m > n) return comb_antidiag(b, a, opts, ws).flipped();
+  if (m > n) return comb_antidiag_banded(b, a, opts, band_rows, ws).flipped();
   Workspace& w = ws ? *ws : tls_workspace();
   if (opts.allow_16bit && fits_16bit(m, n)) {
-    return antidiag_typed<std::uint16_t>(a, b, opts, w);
+    return antidiag_typed<std::uint16_t>(a, b, opts, band_rows, w);
   }
-  return antidiag_typed<std::uint32_t>(a, b, opts, w);
+  return antidiag_typed<std::uint32_t>(a, b, opts, band_rows, w);
 }
+
+}  // namespace detail
 
 SemiLocalKernel comb_load_balanced(SequenceView a, SequenceView b,
                                    const CombOptions& opts, const SteadyAntOptions& ant,

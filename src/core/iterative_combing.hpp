@@ -17,13 +17,19 @@
 //                         with braid multiplication (Figure 2)
 //
 // When m + n < 2^16 and options allow, strand indices are stored in 16-bit
-// words, doubling the SIMD lane count (Section 4.1, last paragraph).
+// words, doubling the SIMD lane count (Section 4.1, last paragraph), and the
+// pair's symbols are read as 16-bit codes (Workspace::codes) in every mode.
+//
+// Below the OpenMP grain (util/parallel.hpp) the anti-diagonal sweep runs on
+// the calling thread in bands of rows, one band's diagonals at a time, so
+// the diagonal in flight stays cache-resident. Combing is a transposition
+// network: any order that respects cell dependencies yields the same braid.
 //
 // All entry points accept an optional Workspace; with one, repeated calls
-// reuse the reversed-`a` buffer, strand arrays and steady-ant scratch and do
-// zero steady-state scratch allocation. Without one, the calling thread's
-// persistent tls_workspace() is used, which gives the same steady-state
-// behaviour automatically.
+// reuse the symbol buffers (codes or reversed `a`), strand arrays and
+// steady-ant scratch and do zero steady-state scratch allocation. Without
+// one, the calling thread's persistent tls_workspace() is used, which gives
+// the same steady-state behaviour automatically.
 #pragma once
 
 #include "braid/steady_ant.hpp"
@@ -40,7 +46,8 @@ struct CombOptions {
   /// Replace the conditional swap by the branchless update (the SIMD
   /// variant, served by the dispatched kernel layer).
   bool branchless = true;
-  /// Process each anti-diagonal with an OpenMP worksharing loop.
+  /// Process each anti-diagonal with an OpenMP worksharing loop (grids of at
+  /// least kCombGrainCells cells; smaller ones use the serial sweep).
   bool parallel = false;
   /// Use 16-bit strand indices when m + n fits (ignored otherwise).
   bool allow_16bit = true;
@@ -72,5 +79,19 @@ SemiLocalKernel comb_load_balanced(SequenceView a, SequenceView b,
                                    const SteadyAntOptions& ant = {.precalc = true,
                                                                   .preallocate = true},
                                    Workspace* ws = nullptr);
+
+namespace detail {
+
+/// comb_antidiag with its schedule pinned, for tests and bench_micro's band
+/// rows: `band_rows` > 0 sweeps on the calling thread in bands of that many
+/// rows (at least the shorter side: one unbanded sweep); 0 runs the one-team
+/// parallel sweep whatever the grid size. `opts.parallel` is ignored.
+/// comb_antidiag passes kCombBandRows, or 0 when opts.parallel and the grid
+/// has at least kCombGrainCells cells.
+SemiLocalKernel comb_antidiag_banded(SequenceView a, SequenceView b,
+                                     const CombOptions& opts, Index band_rows,
+                                     Workspace* ws = nullptr);
+
+}  // namespace detail
 
 }  // namespace semilocal

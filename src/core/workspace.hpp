@@ -1,11 +1,13 @@
 // Reusable scratch memory for the semi-local kernel hot path.
 //
-// Every comb_antidiag / comb_load_balanced invocation needs a reversed copy
-// of `a`, one or three pairs of strand arrays, and (for the stitched
-// variants) steady-ant scratch. A Workspace owns all of those buffers,
-// grows them geometrically, and leases them out per call, so a caller that
-// serves many comparisons performs zero steady-state heap allocation for
-// scratch -- only the returned kernels allocate.
+// Every comb_antidiag / comb_load_balanced invocation needs the pair's
+// symbols in the form its kernels read (16-bit codes of reversed `a` and of
+// `b` for 16-bit strands, a reversed copy of `a` for 32-bit strands), one or
+// three pairs of strand arrays, and (for the stitched variants) steady-ant
+// scratch. A Workspace owns all of those buffers, grows them geometrically,
+// and leases them out per call, so a caller that serves many comparisons
+// performs zero steady-state heap allocation for scratch -- only the
+// returned kernels allocate.
 //
 // Lifetime rules:
 //   * A Workspace must not be shared between threads. Parallel callers use
@@ -61,8 +63,23 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Reversed copy of `a`, reusing the internal buffer.
+  /// Reversed copy of `a`, leased like the strand buffers.
   std::span<const Symbol> reversed(SequenceView a);
+
+  /// A pair's symbols as 16-bit codes, for the 16-bit strand kernels.
+  struct SymbolCodes {
+    std::span<const std::uint16_t> a_rev;  ///< codes of `a`, reversed
+    std::span<const std::uint16_t> b;      ///< codes of `b`, in order
+  };
+
+  /// Codes the pair's symbols injectively into 16 bits: `s - min` when the
+  /// symbols span fewer than 2^16 values, else the symbol's rank among the
+  /// pair's sorted distinct symbols. Equal symbols get equal codes and
+  /// distinct symbols distinct ones, so every comb equality test is
+  /// unchanged. Requires a.size() + b.size() <= 2^16 (a pair has at most
+  /// that many distinct symbols); the 16-bit strand bound m + n < 2^16
+  /// implies it.
+  SymbolCodes codes(SequenceView a, SequenceView b);
 
   /// Leases an uninitialized strand buffer of `n` entries.
   template <typename StrandT>
@@ -89,11 +106,10 @@ class Workspace {
   [[nodiscard]] std::size_t growth_events() const;
 
  private:
-  std::vector<Symbol> a_rev_;
+  detail::BufferPool<Symbol> symbols_;
   detail::BufferPool<std::uint16_t> u16_;
   detail::BufferPool<std::uint32_t> u32_;
   AntWorkspace ant_;
-  std::size_t a_rev_growths_ = 0;
 };
 
 /// This thread's lazily-constructed persistent Workspace. OpenMP keeps its

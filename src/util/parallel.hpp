@@ -20,9 +20,16 @@ namespace semilocal {
 // constants, not options.
 
 /// Whole-grid anti-diagonal combing sweeps (core/iterative_combing): one team
-/// per sweep and a barrier per anti-diagonal, against ~0.2 ns/cell. Measured
-/// crossover between 8192^2 (parallel 1.4x slower) and 16384^2 (1.2x faster).
-inline constexpr Index kCombGrainCells = Index{1} << 27;
+/// per sweep and a barrier per anti-diagonal, against the serial banded sweep
+/// at ~0.08 ns/cell (16-bit strands) / ~0.18 ns/cell (32-bit). Measured
+/// crossover between 24576^2 (parallel 1.27x slower) and 32768^2 (1.36x
+/// faster); every grid with 16-bit strands (m + n < 2^16) stays serial.
+inline constexpr Index kCombGrainCells = Index{1} << 30;
+
+/// The load-balanced variant's phase sweeps (core/iterative_combing), which
+/// stay unbanded. Measured parity at 8192^2, parallel 1.13x faster at
+/// 16384^2.
+inline constexpr Index kLoadBalancedGrainCells = Index{1} << 27;
 
 /// Whole-grid bit-parallel sweeps (bitlcs), in symbol cells m * n. Measured
 /// crossover between 512^2 (parallel 1.35x slower) and 1024^2 (1.1x faster).
