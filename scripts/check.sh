@@ -12,10 +12,12 @@
 # code where a missing happens-before survives unnoticed on x86.
 #
 # The portable leg builds the comb tests without -march=native (the SSE2
-# x86-64 baseline) and runs test_comb_kernels and test_combing: the
-# configuration runtime kernel dispatch exists for, where the scalar kernel
-# is the autovectorized SSE2 loop and the AVX2/AVX-512 tiers are reached only
-# through CPUID dispatch.
+# x86-64 baseline) and runs test_comb_kernels, test_combing and the
+# FlatWaveletTree / QueryIndex suites of test_query_index: the configuration
+# runtime kernel dispatch exists for, where the scalar kernel is the
+# autovectorized SSE2 loop and the AVX2/AVX-512 tiers are reached only
+# through CPUID dispatch -- and where the wavelet-tree build loop vectorises
+# differently.
 #
 # After the ASan suite passes, the serialize|store label slice is re-run
 # under ASan explicitly: those suites parse untrusted bytes (codec fuzz) and
@@ -91,7 +93,7 @@ for preset in release asan tsan; do
   ctest --preset "$preset" -j "$jobs"
 done
 
-echo "==> portable build (no -march): comb kernels and combing"
+echo "==> portable build (no -march): comb kernels, combing, wavelet tree"
 cmake --preset portable >/dev/null
 cmake --build --preset portable -j "$jobs"
 if ! ctest --preset portable -N | grep -q 'Total Tests: [1-9]'; then

@@ -147,34 +147,44 @@ FlatWaveletTree::FlatWaveletTree(const Permutation& p) : n_(p.size()) {
       super_ranks + static_cast<std::size_t>(levels_) * supers_per_level_);
 
   // Values in original position order; stably partitioned level by level
-  // (identical traversal to WaveletTree -- only the storage differs).
-  std::vector<std::int32_t> cur(p.row_to_col());
-  std::vector<std::int32_t> next(cur.size());
+  // (the same traversal as WaveletTree -- only the storage and the loop
+  // shape differ). Level 0 reads the permutation in place.
+  const auto n = static_cast<std::size_t>(n_);
+  const std::int32_t* cur = p.row_to_col().data();
+  std::vector<std::int32_t> next(n);
+  std::vector<std::int32_t> spare(n);
+  std::vector<std::int32_t> ones_scratch(n);
   for (int level = 0; level < levels_; ++level) {
     const int bit_index = levels_ - 1 - level;  // MSB first
     Word* const level_bits = bits + static_cast<std::size_t>(level) * words_per_level_;
-    Index zeros = 0;
-    Index zero_cursor = 0;
-    for (Index pos = 0; pos < n_; ++pos) {
-      if ((cur[static_cast<std::size_t>(pos)] >> bit_index) & 1) {
-        level_bits[static_cast<std::size_t>(pos / kWordBits)] |=
-            Word{1} << (pos % kWordBits);
-      } else {
-        ++zeros;
+    // One branchless pass: each value is stored at both the zero cursor
+    // (into `next`) and the ones cursor (into scratch), and only the cursor
+    // matching its bit advances -- a random bit never steers a branch. The
+    // level's bits accumulate in a register and land one word at a time.
+    std::int32_t* const out = next.data();
+    std::int32_t* const out1 = ones_scratch.data();
+    std::size_t zero_cursor = 0;
+    std::size_t one_cursor = 0;
+    for (std::size_t base = 0; base < n; base += kWordBits) {
+      const std::size_t width = std::min<std::size_t>(kWordBits, n - base);
+      Word word = 0;
+      for (std::size_t b = 0; b < width; ++b) {
+        const std::int32_t value = cur[base + b];
+        const auto bit = static_cast<std::size_t>(
+            (static_cast<std::uint32_t>(value) >> bit_index) & 1u);
+        word |= static_cast<Word>(bit) << b;
+        out[zero_cursor] = value;
+        out1[one_cursor] = value;
+        zero_cursor += bit ^ 1u;
+        one_cursor += bit;
       }
+      level_bits[base / kWordBits] = word;
     }
     // Stable partition for the next level: zeros first, then ones.
-    Index one_cursor = zeros;
-    for (Index pos = 0; pos < n_; ++pos) {
-      const auto value = cur[static_cast<std::size_t>(pos)];
-      if ((value >> bit_index) & 1) {
-        next[static_cast<std::size_t>(one_cursor++)] = value;
-      } else {
-        next[static_cast<std::size_t>(zero_cursor++)] = value;
-      }
-    }
-    level_zeros_[static_cast<std::size_t>(level)] = zeros;
-    std::swap(cur, next);
+    std::copy(out1, out1 + one_cursor, out + zero_cursor);
+    level_zeros_[static_cast<std::size_t>(level)] = static_cast<Index>(zero_cursor);
+    cur = out;
+    next.swap(spare);  // the buffer read this level is written next level
 
     // Rank directory for this level: u64 cumulative count at each 8-word
     // superblock boundary, u16 offset of each word within its superblock.

@@ -30,7 +30,7 @@ ComparisonEngine::ComparisonEngine(EngineOptions options)
     : options_(with_env(std::move(options))),
       env_(options_.env ? options_.env : &real_env()),
       store_(options_.store),
-      scheduler_(store_, options_.scheduler, &latency_, &counters_),
+      scheduler_(store_, options_.scheduler, &latency_),
       start_ns_(env_->now_ns()) {}
 
 std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async(SequenceView a,

@@ -19,11 +19,12 @@
 // store -- the engine stats counters make that auditable (computed stays at
 // the number of distinct pairs while requests grows).
 //
-// Every cached entry carries a shared immutable QueryIndex (built once,
-// read lock-free; see engine/query.hpp), so on the warm path queries cost
-// O(log n) instead of the O(m + n) dominance scan; a kLcs answers from the
-// score the entry cached at construction and needs no index at all. `index_queries = false`
-// forces the scan path -- the ablation knob the benchmarks flip.
+// Every cached entry carries a shared immutable QueryIndex (built once, by
+// its first window query, then read lock-free; see engine/query.hpp), so on
+// the warm path queries cost O(log n) instead of the O(m + n) dominance
+// scan; a kLcs answers from the score the entry cached at construction and
+// needs no index at all. `index_queries = false` forces the scan path --
+// the ablation knob the benchmarks flip.
 #pragma once
 
 #include <atomic>
@@ -155,6 +156,9 @@ class ComparisonEngine {
                       bool drain_inline = false);
 
   [[nodiscard]] EngineStats stats() const;
+
+  /// Whether window queries route through the QueryIndex (EngineOptions).
+  [[nodiscard]] bool index_queries() const { return options_.index_queries; }
 
   /// Runs queued work on the calling thread (see KernelScheduler::drain).
   std::size_t drain() { return scheduler_.drain(); }

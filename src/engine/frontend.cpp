@@ -604,16 +604,24 @@ struct FrontendServer::Impl {
     }
     if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
       // Warm path: answer on the event loop, no pump hop. Queries off a
-      // cached entry are O(log n) descents -- microseconds, not stalls.
+      // cached entry are O(log n) descents -- microseconds, not stalls. A
+      // pair's first window query must build its QueryIndex first, though:
+      // that build goes to a pump like a cold compute.
       Response response;
+      bool builds_index = false;
       try {
-        response = answer_with_entry(*engine, *future.get(), request);
+        const CachedKernel& entry = *future.get();
+        builds_index = query_builds_index(entry, engine->index_queries(),
+                                          request.op != Op::kLcs);
+        if (!builds_index) response = answer_with_entry(*engine, entry, request);
       } catch (const std::exception& e) {
         response = error_response(e.what());
       }
-      counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
-      push_response(conn, std::move(response));
-      return;
+      if (!builds_index) {
+        counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
+        push_response(conn, std::move(response));
+        return;
+      }
     }
     const std::uint64_t seq = conn.next_seq++;
     conn.pending.push_back(Pending{seq, false, {}});

@@ -5,7 +5,8 @@
 // read / write through the Env fd seam), an incremental FrameDecoder turns
 // partial reads into protocol frames with zero copies on the contained-frame
 // path, and a small fixed pump pool waits on scheduler futures so a cold
-// compute never blocks the loop. Admission control is explicit and typed:
+// compute -- or a pair's first QueryIndex build -- never blocks the loop.
+// Admission control is explicit and typed:
 //
 //   gate            verdict when exceeded
 //   --------------  ------------------------------------------------------
@@ -123,7 +124,7 @@ struct FrontendStats {
   std::uint64_t timeouts_read = 0;
   std::uint64_t write_queue_disconnects = 0;
   std::uint64_t inline_answers = 0;  ///< answered on the event loop (warm path)
-  std::uint64_t pump_answers = 0;    ///< answered by a pump (cold path)
+  std::uint64_t pump_answers = 0;    ///< answered by a pump (cold path or index build)
 };
 
 /// stats_json() with the frontend_* counters appended -- what the kStats op

@@ -43,10 +43,9 @@ std::size_t decoded_entry_bytes(Index order);
 /// A cached kernel in one of two residency tiers.
 ///
 /// Decoded tier: the kernel, its global score (read off the kernel once, at
-/// construction, in O(m+n) -- so a kLcs never waits for an index), and its
-/// shared immutable query index, built exactly once -- eagerly by a
-/// scheduler worker right after resolving the computing caller, or lazily
-/// on first window query via std::call_once -- and then read lock-free:
+/// construction, in O(m+n) -- so a kLcs never needs an index), and its
+/// shared immutable query index, built exactly once -- on the entry's first
+/// window query, via std::call_once -- and then read lock-free:
 /// index_if_built() is a single acquire load, and index() after completion
 /// is std::call_once's fast path.
 ///

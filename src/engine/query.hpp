@@ -4,10 +4,10 @@
 // one shared kernel:
 //
 //   * Indexed (the warm serving path): O(log n) dominance counts through the
-//     entry's shared immutable QueryIndex, built exactly once (eagerly by a
-//     scheduler worker, or lazily via std::call_once) and then read
+//     entry's shared immutable QueryIndex, built exactly once -- by the
+//     entry's first window query, via std::call_once -- and then read
 //     lock-free. A kLcs on a decoded entry returns the global score the
-//     entry cached at construction and never touches the index.
+//     entry cached at construction and never touches (or builds) the index.
 //   * Compressed (compressed-resident entries): the dominance count streamed
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
@@ -86,6 +86,17 @@ struct WindowQuery {
   Index x = 0;
   Index y = 0;
 };
+
+/// True when answering a window query (any op but kLcs) off `entry` would
+/// first build its QueryIndex: a decoded entry, indexing on, index not yet
+/// built. kLcs answers from the entry's cached score and a compressed entry
+/// streams blocks, so neither ever builds. An event loop uses this to hand
+/// the build to a worker thread instead of running it inline.
+inline bool query_builds_index(const CachedKernel& entry, bool use_index,
+                               bool window_query) {
+  return use_index && window_query && !entry.is_compressed() &&
+         entry.index_if_built() == nullptr;
+}
 
 /// Answers one query off a shared cached entry. With `use_index` the entry's
 /// QueryIndex answers in O(log n), building it first if this is its very

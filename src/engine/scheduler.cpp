@@ -17,12 +17,11 @@ std::shared_future<CachedKernelPtr> ready_future(CachedKernelPtr entry) {
 }  // namespace
 
 KernelScheduler::KernelScheduler(KernelStore& store, SchedulerOptions options,
-                                 LatencyRecorder* latency, QueryCounters* counters)
+                                 LatencyRecorder* latency)
     : store_(store),
       options_(std::move(options)),
       env_(options_.env ? options_.env : &real_env()),
-      latency_(latency),
-      counters_(counters) {
+      latency_(latency) {
   threads_.reserve(static_cast<std::size_t>(std::max(0, options_.workers)));
   for (int i = 0; i < options_.workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -84,11 +83,11 @@ void KernelScheduler::worker_loop() {
       if (stop_) return;
       continue;
     }
-    run_one_job(lock, options_.build_index);
+    run_one_job(lock);
   }
 }
 
-bool KernelScheduler::run_one_job(std::unique_lock<std::mutex>& lock, bool build_index) {
+bool KernelScheduler::run_one_job(std::unique_lock<std::mutex>& lock) {
   if (queue_.empty()) return false;
   const JobPtr job = std::move(queue_.front());
   queue_.pop_front();
@@ -130,27 +129,13 @@ bool KernelScheduler::run_one_job(std::unique_lock<std::mutex>& lock, bool build
     latency_->record(static_cast<double>(env_->now_ns() - job->queued_ns) / 1e6);
   }
   job->promise.set_value(entry);
-
-  // The eager index build comes *after* the promise resolves: the computing
-  // caller's latency stops at set_value (a kLcs answers from the entry's
-  // cached score and never waits for it), and the entry's std::call_once
-  // arbitrates cleanly if a fast client starts a window query before the
-  // build lands. Done outside the lock -- the build is pure CPU on private
-  // data.
-  if (build_index) {
-    lock.unlock();
-    (void)entry->index(counters_ ? &counters_->index_builds : nullptr);
-    lock.lock();
-  }
   return true;
 }
 
 std::size_t KernelScheduler::drain() {
   std::unique_lock lock(mutex_);
   std::size_t jobs = 0;
-  // Never build indexes in drain mode: a workers = 0 engine answers its
-  // first window query through the lazy std::call_once path instead.
-  while (run_one_job(lock, /*build_index=*/false)) ++jobs;
+  while (run_one_job(lock)) ++jobs;
   return jobs;
 }
 

@@ -34,7 +34,6 @@
 #include "engine/env.hpp"
 #include "engine/kernel_store.hpp"
 #include "engine/latency.hpp"
-#include "engine/query.hpp"
 
 namespace semilocal {
 
@@ -59,11 +58,6 @@ struct SchedulerOptions {
   /// Per-pair compute configuration (`parallel` is forced off: pairs are
   /// the parallel unit, one pair per worker thread at a time).
   SemiLocalOptions compute;
-  /// Workers build each computed kernel's QueryIndex right after resolving
-  /// its promise -- off the caller's latency path, so the first warm query
-  /// finds the index ready. drain() never builds eagerly (workers = 0 mode
-  /// relies on the lazy std::call_once build instead).
-  bool build_index = true;
   /// Clock source for latency samples. nullptr = real_env().
   Env* env = nullptr;
 };
@@ -81,11 +75,11 @@ struct SchedulerStats {
 class KernelScheduler {
  public:
   /// `latency` (optional) receives one sample per computed job, measured
-  /// submit-to-completion. `counters` (optional) receives eager index
-  /// builds. Store results are published via `store.put`.
+  /// submit-to-completion. Store results are published via `store.put`.
+  /// Workers never build a QueryIndex: the first window query builds it
+  /// (CachedKernel::index), and a kLcs answers from the entry's cached score.
   KernelScheduler(KernelStore& store, SchedulerOptions options,
-                  LatencyRecorder* latency = nullptr,
-                  QueryCounters* counters = nullptr);
+                  LatencyRecorder* latency = nullptr);
   ~KernelScheduler();
   KernelScheduler(const KernelScheduler&) = delete;
   KernelScheduler& operator=(const KernelScheduler&) = delete;
@@ -114,16 +108,13 @@ class KernelScheduler {
 
   void worker_loop();
   /// Pops and computes one job. `lock` is held on entry and exit, released
-  /// during compute. `build_index` additionally builds the computed entry's
-  /// QueryIndex after resolving the promise. Returns false if the queue was
-  /// empty.
-  bool run_one_job(std::unique_lock<std::mutex>& lock, bool build_index);
+  /// during compute. Returns false if the queue was empty.
+  bool run_one_job(std::unique_lock<std::mutex>& lock);
 
   KernelStore& store_;
   SchedulerOptions options_;
   Env* env_;
   LatencyRecorder* latency_;
-  QueryCounters* counters_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;

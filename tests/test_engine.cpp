@@ -238,17 +238,6 @@ EngineOptions drain_mode(int max_queue = 256) {
   return options;
 }
 
-/// A worker resolves the computing caller before its eager index build, and
-/// a kLcs never waits for that build; tests that pin the build count wait
-/// for it to land first (bounded, so a missing build fails instead of
-/// hanging).
-void wait_for_index(const CachedKernel& entry) {
-  for (int i = 0; i < 5000 && entry.index_if_built() == nullptr; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_NE(entry.index_if_built(), nullptr) << "eager index build never landed";
-}
-
 TEST(Scheduler, DuplicateSubmissionsCoalesceToOneComputation) {
   ComparisonEngine engine(drain_mode());
   const auto a = testing::random_string(64, 4, 1);
@@ -440,18 +429,111 @@ TEST(Scheduler, EachJobResolvesBeforeTheNextIsPersisted) {
 
 /// A cold kLcs is answered from the score the entry read off the kernel at
 /// construction: no QueryIndex is built for it, yet it counts as indexed.
+/// Holds for drain mode and for a threaded engine under concurrent cold
+/// traffic alike -- workers never build an index.
 TEST(Scheduler, ColdLcsDoesNotBuildTheIndex) {
-  ComparisonEngine engine(drain_mode());
-  const auto a = testing::random_string(80, 4, 41);
-  const auto b = testing::random_string(96, 4, 42);
-  auto pending = engine.entry_async(a, b);
-  engine.drain();
-  EXPECT_EQ(engine.lcs(a, b), testing::lcs_oracle(a, b));
-  EXPECT_EQ(pending.get()->index_if_built(), nullptr);
+  {
+    SCOPED_TRACE("drain mode");
+    ComparisonEngine engine(drain_mode());
+    const auto a = testing::random_string(80, 4, 41);
+    const auto b = testing::random_string(96, 4, 42);
+    auto pending = engine.entry_async(a, b);
+    engine.drain();
+    EXPECT_EQ(engine.lcs(a, b), testing::lcs_oracle(a, b));
+    EXPECT_EQ(pending.get()->index_if_built(), nullptr);
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.queries.index_builds, 0u);
+    EXPECT_EQ(stats.queries.indexed, 1u);
+    EXPECT_EQ(stats.queries.scanned, 0u);
+  }
+  SCOPED_TRACE("threaded engine");
+  constexpr std::uint64_t kPairs = 12;
+  constexpr int kClients = 4;
+  EngineOptions options;
+  options.scheduler.workers = 3;
+  ComparisonEngine engine(options);
+  std::vector<std::pair<Sequence, Sequence>> pool;
+  for (std::uint64_t p = 0; p < kPairs; ++p) {
+    pool.emplace_back(testing::random_string(90, 4, 4300 + p * 2),
+                      testing::random_string(110, 4, 4301 + p * 2));
+  }
+  // Every client asks for every pair, staggered, so cold computes, coalesced
+  // waits and warm repeats all land while the workers are busy.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (std::uint64_t k = 0; k < kPairs; ++k) {
+        const auto& [a, b] = pool[(k + static_cast<std::uint64_t>(t) * 3) % kPairs];
+        if (engine.lcs(a, b) != testing::lcs_oracle(a, b)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
   const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, kPairs);
   EXPECT_EQ(stats.queries.index_builds, 0u);
-  EXPECT_EQ(stats.queries.indexed, 1u);
+  EXPECT_EQ(stats.queries.indexed, kPairs * kClients);
+  for (const auto& [a, b] : pool) {
+    const CachedKernelPtr entry = engine.store().find(make_pair_key(a, b));
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->index_if_built(), nullptr);
+  }
+}
+
+/// The first window query on a computed pair builds its QueryIndex exactly
+/// once, however many callers race it; every caller gets oracle answers.
+TEST(Scheduler, FirstWindowQueryBuildsTheIndexOnceUnderConcurrentCallers) {
+  EngineOptions options;
+  options.scheduler.workers = 2;
+  ComparisonEngine engine(options);
+  const auto a = testing::random_string(150, 4, 4401);
+  const auto b = testing::random_string(170, 4, 4402);
+  EXPECT_EQ(engine.lcs(a, b), testing::lcs_oracle(a, b));  // computed, no index
+  ASSERT_EQ(engine.stats().queries.index_builds, 0u);
+
+  const auto n = static_cast<Index>(b.size());
+  const auto m = static_cast<Index>(a.size());
+  std::vector<WindowQuery> windows;
+  for (Index j0 = 0; j0 < n; j0 += 17) windows.push_back({QueryKind::kStringSubstring, j0, n});
+  for (Index i0 = 0; i0 < m; i0 += 19) windows.push_back({QueryKind::kSubstringString, 0, m - i0});
+  std::vector<Index> expected;
+  for (const WindowQuery& w : windows) {
+    const Sequence wa = w.kind == QueryKind::kSubstringString
+                            ? Sequence(a.begin() + w.x, a.begin() + w.y)
+                            : a;
+    const Sequence wb = w.kind == QueryKind::kStringSubstring
+                            ? Sequence(b.begin() + w.x, b.begin() + w.y)
+                            : b;
+    expected.push_back(testing::lcs_oracle(wa, wb));
+  }
+
+  constexpr int kCallers = 8;
+  std::atomic<int> at_gate{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      at_gate.fetch_add(1);
+      while (at_gate.load() < kCallers) std::this_thread::yield();
+      if (t % 2 == 0) {
+        if (engine.answer_batch(a, b, windows) != expected) mismatches.fetch_add(1);
+      } else {
+        const std::size_t k = static_cast<std::size_t>(t) % windows.size();
+        const Index got = windows[k].kind == QueryKind::kStringSubstring
+                              ? engine.string_substring(a, b, windows[k].x, windows[k].y)
+                              : engine.substring_string(a, b, windows[k].x, windows[k].y);
+        if (got != expected[k]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries.index_builds, 1u);
   EXPECT_EQ(stats.queries.scanned, 0u);
+  EXPECT_EQ(stats.scheduler.computed, 1u);
 }
 
 TEST(QueryLayer, MatchesBruteForceOracle) {
@@ -622,11 +704,18 @@ TEST(EngineEndToEnd, RepeatedPairsAreNeverRecomputed) {
   // Both the compute path and the cache fast path record a latency sample.
   EXPECT_EQ(stats.latency.count, stats.requests);
   // Every query went through the index route (kLcs off the entry's cached
-  // score); the scan fallback never fired, and each distinct pair's index
-  // was built exactly once (by the worker, after answering the caller).
+  // score), the scan fallback never fired, and kLcs-only traffic built no
+  // index at all: workers never build one.
   EXPECT_EQ(stats.queries.indexed, stats.requests);
   EXPECT_EQ(stats.queries.scanned, 0u);
-  for (const auto& [a, b] : pool) wait_for_index(*engine.store().find(make_pair_key(a, b)));
+  EXPECT_EQ(stats.queries.index_builds, 0u);
+  // The first window query per pair builds its index; repeats reuse it.
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [a, b] : pool) {
+      const auto n = static_cast<Index>(b.size());
+      EXPECT_EQ(engine.string_substring(a, b, 0, n), engine.lcs(a, b));
+    }
+  }
   EXPECT_EQ(engine.stats().queries.index_builds, kDistinctPairs);
 
   // Warm restart over the same store directory: zero recompute, all disk.

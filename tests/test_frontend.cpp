@@ -26,6 +26,7 @@
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
 #include "engine/protocol.hpp"
+#include "oracles.hpp"
 
 namespace semilocal {
 namespace {
@@ -270,6 +271,57 @@ TEST(Frontend, ResponsesStayInRequestOrderAcrossWarmAndColdPaths) {
     const auto pong = client.recv();
     ASSERT_TRUE(pong.has_value());
     EXPECT_EQ(pong->value, 0);
+  }
+}
+
+TEST(Frontend, FirstWindowQueryBuildsTheIndexOnAPumpNotInline) {
+  // A computed pair has no QueryIndex until its first window query. That
+  // query's build runs on a pump, never on the event loop; later queries on
+  // the pair answer inline off the built index.
+  Reactor reactor(small_engine(1), quiet_frontend());
+  const Sequence a = testing::random_string(300, 4, 8101);
+  const Sequence b = testing::random_string(340, 4, 8102);
+  ASSERT_NE(reactor.engine.entry(a, b), nullptr);  // ready, unindexed
+  Client client(reactor.port());
+  const auto request_for = [&](Op op) {
+    Request request;
+    request.op = op;
+    request.a = a;
+    request.b = b;
+    return request;
+  };
+
+  // kLcs answers from the entry's cached score: inline, and still no build.
+  FrontendStats before = reactor.server.stats();
+  client.send(request_for(Op::kLcs));
+  auto response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->value, testing::lcs_oracle(a, b));
+  EXPECT_EQ(reactor.server.stats().inline_answers, before.inline_answers + 1);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
+
+  Request batch = request_for(Op::kBatchQuery);
+  std::vector<Index> expected;
+  for (Index j0 = 0; j0 < 340; j0 += 37) {
+    batch.windows.push_back({QueryKind::kStringSubstring, j0, 340});
+    expected.push_back(testing::lcs_oracle(a, Sequence(b.begin() + j0, b.end())));
+  }
+  for (Index i1 = 300; i1 > 0; i1 -= 41) {
+    batch.windows.push_back({QueryKind::kSubstringString, 0, i1});
+    expected.push_back(testing::lcs_oracle(Sequence(a.begin(), a.begin() + i1), b));
+  }
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "first window query" : "second window query");
+    before = reactor.server.stats();
+    client.send(batch);
+    response = client.recv();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::kOk);
+    EXPECT_EQ(response->values, expected);
+    const FrontendStats after = reactor.server.stats();
+    EXPECT_EQ(after.inline_answers, before.inline_answers + (round == 0 ? 0 : 1));
+    EXPECT_EQ(after.pump_answers, before.pump_answers + (round == 0 ? 1 : 0));
+    EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
   }
 }
 

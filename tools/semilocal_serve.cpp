@@ -28,8 +28,10 @@
 //                    queued pair at a time
 //   --algorithm X    combing strategy (see semilocal_cli)
 //   --no-persist     do not write computed kernels to the store
-//   --no-index      answer queries via the O(m+n) scan instead of the
-//                    shared QueryIndex (ablation / debugging)
+//   --no-index       answer window queries via the O(m+n) scan and never
+//                    build a QueryIndex (ablation / debugging). By default
+//                    each pair's index is built once, by its first window
+//                    query, off the event loop; kLcs never needs one.
 //   --dna            pack request bytes as DNA (match CLI precompute keys)
 //   --corpus-dir DIR versioned incremental corpus root; enables Op::kUpsert
 //                    (without it upserts answer kError). Chunked braids are
@@ -279,7 +281,6 @@ int main(int argc, char** argv) {
     options.scheduler.compute.strategy =
         parse_strategy(args.option_or("algorithm", "antidiag"));
     options.index_queries = !args.has_flag("no-index");
-    options.scheduler.build_index = options.index_queries;
 
     ServeConfig config;
     config.dna = args.has_flag("dna");
