@@ -27,10 +27,9 @@
 //   frontend_sweep
 //             the serve frontends measured over real sockets: an in-process
 //             open-loop client (engine/open_loop.hpp) fires a fixed offered
-//             load at a warm engine behind the epoll reactor and behind the
-//             legacy thread-per-connection frontend, sweeping the arrival
-//             rate to produce the latency-vs-offered-load curve, plus one
-//             high-concurrency reactor point. Every leg records two gate
+//             load at a warm engine behind the epoll reactor, sweeping the
+//             arrival rate to produce the latency-vs-offered-load curve, plus
+//             one high-concurrency point. Every leg records two gate
 //             invariants: stalled_sockets (a request that got neither a
 //             frame nor a close) must be 0, and shed_mismatch (server-side
 //             RETRY_AFTER frames sent minus client-side kOverloaded frames
@@ -356,7 +355,6 @@ CapacityResult run_capacity_sweep(Index length) {
 }
 
 struct FrontendLeg {
-  std::string mode;  // "reactor" | "threaded"
   std::size_t connections = 0;
   double offered_rate = 0.0;
   OpenLoopResult open;
@@ -403,18 +401,26 @@ std::vector<std::string> make_frontend_payloads(int pairs, Index length) {
   return payloads;
 }
 
-/// Runs one open-loop measurement against an already-constructed frontend:
-/// spins the event/accept loop on a helper thread, replays the payload pool
-/// once at a low rate so the engine is warm (cold-compute samples would
+/// Runs one open-loop measurement against a fresh warm engine behind the
+/// reactor: spins the event loop on a helper thread, replays the payload
+/// pool once at a low rate so the engine is warm (cold-compute samples would
 /// otherwise pollute the p99 this sweep exists to compare), then fires the
 /// timed window and stops the server.
-template <typename Server>
-FrontendLeg drive_frontend(Server& server, const std::string& mode,
-                           std::size_t connections, double rate,
-                           std::uint64_t duration_ms,
-                           const std::vector<std::string>& payloads) {
+FrontendLeg run_frontend_leg(std::size_t connections, double rate, std::uint64_t duration_ms,
+                             const std::vector<std::string>& payloads) {
+  EngineOptions options;  // memory store: the sweep measures the frontend
+  options.scheduler.workers = hardware_threads();
+  options.scheduler.max_queue = 4096;
+  ComparisonEngine engine(options);
+
+  FrontendOptions frontend;
+  frontend.port = 0;
+  frontend.max_connections = connections + 64;  // headroom for the warm-up conns
+  frontend.idle_timeout_ms = 0;                 // legs pause between phases
+  frontend.read_timeout_ms = 0;
+  FrontendServer server(engine, frontend);
+
   FrontendLeg leg;
-  leg.mode = mode;
   leg.connections = connections;
   leg.offered_rate = rate;
 
@@ -446,42 +452,17 @@ FrontendLeg drive_frontend(Server& server, const std::string& mode,
   return leg;
 }
 
-FrontendLeg run_frontend_leg(bool reactor, std::size_t connections, double rate,
-                             std::uint64_t duration_ms,
-                             const std::vector<std::string>& payloads) {
-  EngineOptions options;  // memory store: the sweep measures the frontends
-  options.scheduler.workers = hardware_threads();
-  options.scheduler.max_queue = 4096;
-  ComparisonEngine engine(options);
-
-  FrontendOptions frontend;
-  frontend.port = 0;
-  frontend.max_connections = connections + 64;  // headroom for the warm-up conns
-  frontend.idle_timeout_ms = 0;                 // legs pause between phases
-  frontend.read_timeout_ms = 0;
-  if (reactor) {
-    FrontendServer server(engine, frontend);
-    return drive_frontend(server, "reactor", connections, rate, duration_ms, payloads);
-  }
-  ThreadedFrontend server(engine, frontend);
-  return drive_frontend(server, "threaded", connections, rate, duration_ms, payloads);
-}
-
 std::vector<FrontendLeg> run_frontend_sweep(Index length) {
   // Short pairs: warm kLcs answers are cheap by design, so the socket /
   // decode / admission path is what the sweep times, not kernel compute.
   const auto payloads = make_frontend_payloads(/*pairs=*/8, std::max<Index>(64, length / 8));
   std::vector<FrontendLeg> legs;
   for (const double rate : {500.0, 1000.0, 2000.0, 4000.0}) {
-    for (const bool reactor : {false, true}) {
-      legs.push_back(run_frontend_leg(reactor, /*connections=*/128, rate,
-                                      /*duration_ms=*/1000, payloads));
-    }
+    legs.push_back(run_frontend_leg(/*connections=*/128, rate, /*duration_ms=*/1000, payloads));
   }
-  // The concurrency point the threaded frontend cannot visit (2000 blocking
-  // threads is not a serving design): the reactor at 2000 sockets.
-  legs.push_back(run_frontend_leg(/*reactor=*/true, /*connections=*/2000,
-                                  /*rate=*/2000.0, /*duration_ms=*/1000, payloads));
+  // The high-concurrency point: 2000 sockets on one event loop.
+  legs.push_back(run_frontend_leg(/*connections=*/2000, /*rate=*/2000.0,
+                                  /*duration_ms=*/1000, payloads));
   return legs;
 }
 
@@ -790,7 +771,7 @@ void write_shard_leg(std::ofstream& out, const ShardLeg& leg, bool last) {
 
 void write_frontend_leg(std::ofstream& out, const FrontendLeg& leg, bool last) {
   const OpenLoopResult& r = leg.open;
-  out << "    {\"mode\": \"" << leg.mode << "\", \"connections\": " << leg.connections
+  out << "    {\"connections\": " << leg.connections
       << ", \"offered_rate\": " << leg.offered_rate
       << ", \"achieved_rate\": " << r.achieved_rate
       << ",\n     \"sent\": " << r.sent << ", \"received\": " << r.received
@@ -1281,11 +1262,10 @@ int main() {
   std::cout << "capacity_ratio " << capacity.capacity_ratio() << "x, p50_regression "
             << 100.0 * capacity.p50_regression() << "%\n";
 
-  Table fe({"mode", "conns", "offered_rps", "achieved_rps", "received", "overloaded",
+  Table fe({"conns", "offered_rps", "achieved_rps", "received", "overloaded",
             "stalled", "shed_mismatch", "p50_ms", "p99_ms"});
   for (const FrontendLeg& leg : frontends) {
     fe.row()
-        .cell(leg.mode)
         .cell(static_cast<long long>(leg.connections))
         .cell(leg.offered_rate, 0)
         .cell(leg.open.achieved_rate, 0)

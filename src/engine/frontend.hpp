@@ -1,12 +1,15 @@
-// Serve frontends: the epoll reactor (default) and the threaded legacy.
+// The serve frontend: an epoll reactor in front of a Service.
 //
 // The reactor is what lets one engine face tens of thousands of sockets:
 // a single event-loop thread owns every connection (non-blocking accept /
-// read / write through the Env fd seam), an incremental FrameDecoder turns
-// partial reads into protocol frames with zero copies on the contained-frame
-// path, and a small fixed pump pool waits on scheduler futures so a cold
-// compute -- or a pair's first QueryIndex build -- never blocks the loop.
-// Admission control is explicit and typed:
+// read / write through the Env fd seam), and an incremental FrameDecoder
+// turns partial reads into protocol frames with zero copies on the
+// contained-frame path. Each decoded request goes to a Service
+// (engine/service.hpp) that answers it on the loop or hands back a
+// continuation for a small pump pool, so no compute blocks the loop. The
+// reactor keeps transport policy only: FIFO response order per connection,
+// write-queue pacing, the frontend_* counters, and admission control, which
+// is explicit and typed:
 //
 //   gate            verdict when exceeded
 //   --------------  ------------------------------------------------------
@@ -28,12 +31,6 @@
 // All timeouts read the Env clock and all socket I/O goes through
 // Env::fd_read/fd_write, so FaultyEnv can tear or fail any connection's
 // bytes deterministically (tests drive the decoder's resume path this way).
-//
-// ThreadedFrontend is the pre-reactor design kept for differential testing
-// (one blocking thread per connection) -- with the PR 7 lifetime fixes: a
-// joinable connection registry instead of detached threads, and a graceful
-// drain on stop() so no thread can touch the engine after main tears it
-// down.
 #pragma once
 
 #include <atomic>
@@ -45,6 +42,7 @@
 
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
 
 namespace semilocal {
 
@@ -76,14 +74,14 @@ struct FrontendOptions {
   /// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
   /// scheduler's own backpressure hint is forwarded verbatim).
   Index admission_retry_ms = 10;
-  /// Threads that wait on scheduler futures for cold requests. Warm
-  /// (cache-hit) requests are answered inline on the event loop and never
-  /// touch a pump.
+  /// Threads that run deferred work: cold computes, first index builds,
+  /// upserts, plot streams, handler calls. Warm (cache-hit) requests are
+  /// answered inline on the event loop and never touch a pump.
   int pump_threads = 2;
-  /// Pack request bytes as DNA before hashing (match CLI precompute keys).
+  /// Engine mode: pack request bytes as DNA before hashing (CLI precompute keys).
   bool dna = false;
-  /// workers == 0 engines: pumps call engine.drain() before waiting, so a
-  /// reactor over a threadless scheduler still makes progress.
+  /// Engine mode, workers == 0 engines: pumps call engine.drain() before
+  /// waiting, so a reactor over a threadless scheduler still makes progress.
   bool drain_inline = false;
   /// Clock + socket-I/O seam. nullptr = real_env().
   Env* env = nullptr;
@@ -97,8 +95,8 @@ struct FrontendOptions {
   /// engine -- every decoded request rides a pump ticket and is answered by
   /// handler(request) (which may block on downstream I/O; that is what the
   /// pump pool is for). kStats is the one inline exception: the handler's
-  /// JSON gets this frontend's frontend_* counters spliced in, same as the
-  /// engine path. This is how the shard router reuses the reactor loop.
+  /// JSON gets this frontend's frontend_* counters spliced in, same as an
+  /// engine's. This is how the shard router reuses the reactor loop.
   std::function<Response(const Request&)> handler;
   /// Streaming twin of `handler` for multi-frame ops (Op::kAlignmentPlot):
   /// runs on a pump with a sink that ships one response frame per call. The
@@ -106,8 +104,7 @@ struct FrontendOptions {
   /// terminal_response_frame) and stop when the sink returns false (client
   /// gone, stream cancelled). Handler mode only; when unset, plot requests
   /// answer kError. Engine mode streams plots natively and ignores this.
-  std::function<void(const Request&, const std::function<bool(Response&&)>&)>
-      stream_handler;
+  std::function<void(const Request&, const TileSink&)> stream_handler;
 };
 
 /// Plain-value snapshot of the frontend counters (stats JSON: frontend_*).
@@ -123,8 +120,11 @@ struct FrontendStats {
   std::uint64_t timeouts_idle = 0;
   std::uint64_t timeouts_read = 0;
   std::uint64_t write_queue_disconnects = 0;
-  std::uint64_t inline_answers = 0;  ///< answered on the event loop (warm path)
-  std::uint64_t pump_answers = 0;    ///< answered by a pump (cold path or index build)
+  /// Served work, by where it was answered: inline on the event loop (warm
+  /// reads, handler-mode kStats) or by a pump (cold reads, index builds,
+  /// upserts, plots, handler calls). Engine-mode control ops count in neither.
+  std::uint64_t inline_answers = 0;
+  std::uint64_t pump_answers = 0;
 };
 
 /// stats_json() with the frontend_* counters appended -- what the kStats op
@@ -133,9 +133,11 @@ std::string stats_json(const EngineStats& stats, const FrontendStats& frontend);
 
 /// The epoll reactor frontend. Construction binds and listens (throws
 /// std::runtime_error on failure); run() executes the event loop on the
-/// calling thread until request_stop(). One instance serves one engine.
+/// calling thread until request_stop().
 class FrontendServer {
  public:
+  /// Engine mode: serves an EngineService over `engine` and options.corpus
+  /// (with options.dna / options.drain_inline).
   FrontendServer(ComparisonEngine& engine, FrontendOptions options);
   /// Engine-less handler mode (options.handler must be set; throws
   /// std::invalid_argument otherwise). The shard router's frontend.
@@ -154,35 +156,6 @@ class FrontendServer {
 
   /// Requests shutdown. Async-signal-safe (one write(2) to a wake pipe), so
   /// a SIGINT handler may call it directly.
-  void request_stop();
-
-  [[nodiscard]] FrontendStats stats() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// The legacy thread-per-connection frontend: one blocking session thread
-/// per accepted socket, now with owned lifetimes -- sessions live in a
-/// joinable registry, stop() shuts each socket down for reading (the session
-/// finishes its in-flight request, flushes, and exits) and joins every
-/// thread before returning, so the engine can never be torn down under a
-/// live session. Kept for differential testing against the reactor.
-class ThreadedFrontend {
- public:
-  ThreadedFrontend(ComparisonEngine& engine, FrontendOptions options);
-  ~ThreadedFrontend();
-  ThreadedFrontend(const ThreadedFrontend&) = delete;
-  ThreadedFrontend& operator=(const ThreadedFrontend&) = delete;
-
-  [[nodiscard]] int port() const;
-
-  /// Accept loop; returns after request_stop() has drained and joined every
-  /// session thread.
-  void run();
-
-  /// Async-signal-safe shutdown request (shutdown(2) on the listener).
   void request_stop();
 
   [[nodiscard]] FrontendStats stats() const;

@@ -101,6 +101,21 @@ std::optional<std::string> read_frame(std::istream& in) {
   return payload;
 }
 
+Response error_response(const std::string& text) {
+  Response response;
+  response.status = Status::kError;
+  response.text = text;
+  return response;
+}
+
+Response overloaded_response(Index retry_ms, const std::string& text) {
+  Response response;
+  response.status = Status::kOverloaded;
+  response.retry_ms = std::max<Index>(1, retry_ms);
+  response.text = text;
+  return response;
+}
+
 std::string frame_payload(std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) {
     throw ProtocolError("frame payload exceeds limit");

@@ -114,6 +114,12 @@ struct Response {
   return response.status != Status::kOk || !response.tile || response.tile->last;
 }
 
+/// A kError response carrying `text`.
+Response error_response(const std::string& text);
+
+/// RETRY_AFTER: a kOverloaded response whose retry hint is at least 1 ms.
+Response overloaded_response(Index retry_ms, const std::string& text);
+
 /// Frames larger than this are rejected on read and refused on write.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;  // 64 MiB
 

@@ -11,21 +11,6 @@
 namespace semilocal {
 namespace {
 
-Response overloaded_response(Index retry_ms, const std::string& text) {
-  Response response;
-  response.status = Status::kOverloaded;
-  response.retry_ms = std::max<Index>(1, retry_ms);
-  response.text = text;
-  return response;
-}
-
-Response error_response(const std::string& text) {
-  Response response;
-  response.status = Status::kError;
-  response.text = text;
-  return response;
-}
-
 /// Pulls an integer field out of a flat JSON document ("\"key\": 123").
 /// Returns `missing` when the key is absent -- good enough for the health
 /// payloads the engine itself emits; this is not a general parser.

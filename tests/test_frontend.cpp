@@ -1,12 +1,15 @@
-// In-process tests for the serve frontends (engine/frontend.hpp): protocol
-// round trips through real sockets, the typed admission-control verdicts
-// (shed, per-connection budget, scheduler backpressure as RETRY_AFTER),
-// slow-client defenses (slow-loris read timeout, idle eviction, write-queue
-// cap), deterministic fault injection through the Env socket seam, graceful
-// drain on stop, and the threaded legacy frontend's joined-lifetime
-// regression. Every test binds port 0 (a fresh free port) and runs the
-// frontend on a background thread; the multi-client hammer doubles as the
-// tsan workload for the reactor / pump / counter interleavings.
+// In-process tests for the serve transports over the one dispatcher
+// (engine/service.hpp). The reactor (engine/frontend.hpp): protocol round
+// trips through real sockets, every op answered exactly as a direct
+// EngineService::handle answers it, where each answer is booked (inline or
+// pump), the typed admission-control verdicts (shed, per-connection budget,
+// scheduler backpressure as RETRY_AFTER), slow-client defenses (slow-loris
+// read timeout, idle eviction, write-queue cap), deterministic fault
+// injection through the Env socket seam, graceful drain on stop, and engine
+// teardown right after a stop. Every reactor test binds port 0 (a fresh free
+// port) and runs the frontend on a background thread; the multi-client
+// hammer doubles as the tsan workload for the reactor / pump / counter
+// interleavings. ServeStream: the stdio session loop over stringstreams.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -20,12 +23,17 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <thread>
 
+#include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
 #include "oracles.hpp"
 
 namespace semilocal {
@@ -166,15 +174,24 @@ EngineOptions small_engine(int workers) {
   return options;
 }
 
-/// Engine + reactor + its run() thread, torn down in order.
+/// Engine + optional in-memory corpus + reactor + its run() thread, torn
+/// down in order.
 struct Reactor {
   ComparisonEngine engine;
+  std::unique_ptr<CorpusManager> corpus;
   FrontendServer server;
   std::thread thread;
 
-  Reactor(EngineOptions engine_options, FrontendOptions frontend_options)
+  Reactor(EngineOptions engine_options, FrontendOptions frontend_options,
+          bool with_corpus = false)
       : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
+        corpus(with_corpus ? std::make_unique<CorpusManager>(engine, CorpusManagerOptions{})
+                           : nullptr),
+        server(engine,
+               [&] {
+                 frontend_options.corpus = corpus.get();
+                 return std::move(frontend_options);
+               }()),
         thread([this] { server.run(); }) {}
 
   ~Reactor() { stop(); }
@@ -678,6 +695,82 @@ TEST(Frontend, MultiClientHammerKeepsEveryConnectionConsistent) {
   EXPECT_EQ(fs.protocol_errors, 0u);
 }
 
+TEST(Frontend, EachAnswerIsBookedInlineOrOnAPump) {
+  // Pins where each op is answered -- the split perfbench reads as
+  // frontend.inline_frac. Warm reads answer on the event loop; cold reads,
+  // plots and upserts on a pump; engine-mode control ops are booked nowhere.
+  // No workers: a cold pair computes only when its pump drains the queue,
+  // so it can never turn warm before the event loop looks.
+  FrontendOptions engine_mode = quiet_frontend();
+  engine_mode.drain_inline = true;
+  Reactor reactor(small_engine(0), engine_mode);
+  Client client(reactor.port());
+  const auto deltas_after = [&](const Request& request) {
+    const FrontendStats before = reactor.server.stats();
+    client.send(request);
+    while (true) {
+      const auto response = client.recv();
+      if (!response.has_value()) throw std::runtime_error("server closed the connection");
+      if (terminal_response_frame(*response)) break;
+    }
+    // A stream books its pump answer just after posting its terminal frame.
+    (void)eventually([&] {
+      const FrontendStats now = reactor.server.stats();
+      return now.inline_answers + now.pump_answers >
+             before.inline_answers + before.pump_answers;
+    }, 200ms);
+    const FrontendStats after = reactor.server.stats();
+    return std::pair{after.inline_answers - before.inline_answers,
+                     after.pump_answers - before.pump_answers};
+  };
+  using Booked = std::pair<std::uint64_t, std::uint64_t>;  // {inline, pump}
+
+  const Request lcs = lcs_request("ACGTACGTTGCA", "AGTCAGTCCATG");
+  EXPECT_EQ(deltas_after(lcs), Booked(0, 1)) << "cold kLcs";
+  EXPECT_EQ(deltas_after(lcs), Booked(1, 0)) << "warm kLcs";
+
+  Request plot;
+  plot.op = Op::kAlignmentPlot;
+  plot.a = testing::random_string(64, 4, 8201);
+  plot.b = testing::random_string(64, 4, 8202);
+  plot.plot = PlotSpec{.rows = 2, .cols = 2, .step = 8, .window = 16};
+  EXPECT_EQ(deltas_after(plot), Booked(0, 1)) << "plot";
+
+  Request upsert;
+  upsert.op = Op::kUpsert;
+  upsert.a = seq("doc");
+  upsert.b = seq("ACGT");
+  EXPECT_EQ(deltas_after(upsert), Booked(0, 1)) << "upsert (no corpus)";
+
+  for (const Op op : {Op::kPing, Op::kStats, Op::kHealth}) {
+    Request control;
+    control.op = op;
+    EXPECT_EQ(deltas_after(control), Booked(0, 0)) << "control op " << static_cast<int>(op);
+  }
+
+  // Handler mode answers kStats on the loop and books it there.
+  FrontendOptions options = quiet_frontend();
+  options.handler = [](const Request&) {
+    Response response;
+    response.text = "{\"handler\": 1}";
+    return response;
+  };
+  FrontendServer handler_server(options);
+  std::thread loop([&] { handler_server.run(); });
+  Client handler_client(handler_server.port());
+  Request stats;
+  stats.op = Op::kStats;
+  handler_client.send(stats);
+  const auto answer = handler_client.recv();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_NE(answer->text.find("\"frontend_inline_answers\""), std::string::npos);
+  const FrontendStats booked = handler_server.stats();
+  EXPECT_EQ(booked.inline_answers, 1u);
+  EXPECT_EQ(booked.pump_answers, 0u);
+  handler_server.request_stop();
+  loop.join();
+}
+
 TEST(Frontend, StatsJsonSplicesFrontendCountersIntoTheEngineObject) {
   FrontendStats fs;
   fs.connections_accepted = 7;
@@ -694,64 +787,215 @@ TEST(Frontend, StatsJsonSplicesFrontendCountersIntoTheEngineObject) {
   EXPECT_NE(json.find("\"frontend_partial_frames\": 11"), std::string::npos);
 }
 
-// --- the threaded legacy frontend ------------------------------------------
+TEST(Frontend, StopMidConversationThenDestroyTheEngine) {
+  // request_stop() must answer and flush the request in flight, join every
+  // pump and return; only then may the engine go. Destroying it right after
+  // stop() must be safe -- asan would flag a pump still touching it.
+  auto reactor = std::make_unique<Reactor>(small_engine(1), quiet_frontend());
+  Client client(reactor->port());
+  client.send(lcs_request("ACGTACGTACGT", "AGTCAGTCAGTC"));
+  ASSERT_TRUE(client.recv().has_value());  // the conversation is live
+  client.send(lcs_request(std::string(1500, 'A') + "CGT", std::string(1500, 'C') + "GTA"));
+  ASSERT_TRUE(eventually([&] { return reactor->server.stats().frames_decoded == 2; }));
 
-struct Threaded {
-  ComparisonEngine engine;
-  ThreadedFrontend server;
-  std::thread thread;
-
-  Threaded(EngineOptions engine_options, FrontendOptions frontend_options)
-      : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
-        thread([this] { server.run(); }) {}
-
-  ~Threaded() { stop(); }
-
-  void stop() {
-    if (thread.joinable()) {
-      server.request_stop();
-      thread.join();
-    }
-  }
-};
-
-TEST(Frontend, ThreadedLegacyAnswersAndShedsLikeTheReactor) {
-  FrontendOptions options = quiet_frontend();
-  options.max_connections = 1;
-  Threaded threaded(small_engine(1), options);
-
-  Client admitted(threaded.server.port());
-  admitted.send(lcs_request("ACGTACGT", "AGTCAGTC"));
-  const auto response = admitted.recv();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, Status::kOk);
-
-  Client shed(threaded.server.port());
-  const auto verdict = shed.recv();
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_EQ(verdict->status, Status::kOverloaded);
-  EXPECT_TRUE(shed.closed_by_server());
-  EXPECT_TRUE(eventually([&] { return threaded.server.stats().connections_shed == 1; }));
+  reactor->stop();  // drains, joins the loop and every pump
+  const auto answer = client.recv(1000ms);
+  ASSERT_TRUE(answer.has_value()) << "the cold request in flight was dropped";
+  EXPECT_EQ(answer->status, Status::kOk) << answer->text;
+  EXPECT_GT(answer->value, 0);
+  EXPECT_FALSE(client.recv(1000ms).has_value()) << "the connection must close on stop";
+  reactor.reset();
 }
 
-TEST(Frontend, ThreadedStopJoinsEverySessionBeforeReturning) {
-  // The PR 7 regression: the old server detached session threads, so run()
-  // never returned and shutdown raced engine teardown. Now request_stop()
-  // must drain in-flight work, join every session, and return -- with the
-  // response still delivered.
-  auto threaded = std::make_unique<Threaded>(small_engine(1), quiet_frontend());
-  const int port = threaded->server.port();
-  Client client(port);
-  client.send(lcs_request("ACGTACGTACGT", "AGTCAGTCAGTC"));
-  const auto response = client.recv();  // session is live mid-conversation
-  ASSERT_TRUE(response.has_value());
+// --- one dispatcher: every transport answers as EngineService::handle --------
 
-  threaded->stop();  // joins the accept loop AND the session thread
-  EXPECT_FALSE(client.recv(1000ms).has_value()) << "session must close on stop";
-  // Destroying the harness (engine included) after stop() must be safe: no
-  // detached thread can touch the engine anymore. asan would flag it.
-  threaded.reset();
+/// The top-level keys of a flat JSON object.
+std::set<std::string> json_keys(const std::string& json) {
+  static const std::regex key("\"([A-Za-z0-9_]+)\":");
+  std::set<std::string> keys;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    keys.insert((*it)[1]);
+  }
+  return keys;
+}
+
+/// One request per op and per failure shape an EngineService answers.
+std::vector<Request> every_op() {
+  const Sequence a = testing::random_string(120, 4, 8301);
+  const Sequence b = testing::random_string(140, 4, 8302);
+  const auto make = [](Op op, Sequence x_seq = {}, Sequence y_seq = {}, Index x = 0,
+                       Index y = 0) {
+    Request request;
+    request.op = op;
+    request.a = std::move(x_seq);
+    request.b = std::move(y_seq);
+    request.x = x;
+    request.y = y;
+    return request;
+  };
+  Request batch = make(Op::kBatchQuery, a, b);
+  batch.windows = {{QueryKind::kLcs, 0, 0},
+                   {QueryKind::kStringSubstring, 3, 77},
+                   {QueryKind::kSubstringString, 0, 120}};
+  return {
+      make(Op::kPing),
+      make(Op::kStats),
+      make(Op::kHealth),
+      make(Op::kShardCtl),
+      make(Op::kLcs, a, b),
+      make(Op::kStringSubstring, a, b, 10, 90),
+      make(Op::kSubstringString, a, b, 5, 60),
+      make(Op::kStringSubstring, a, b, 50, 500),  // window past |b|: kError
+      batch,
+      make(Op::kUpsert, seq("doc-a"), testing::random_string(300, 4, 8303)),
+      make(Op::kUpsert, seq("doc-b"), testing::random_string(260, 4, 8304)),
+      make(Op::kUpsert, seq("../bad id"), b),  // malformed id: kError
+  };
+}
+
+/// `got` answers `request` as `want` does. Stats and health carry live
+/// figures (uptime, latency), so those compare by key set; a transport may
+/// add its frontend_* counters to stats.
+void expect_same_answer(const Request& request, const Response& got, const Response& want) {
+  SCOPED_TRACE("op " + std::to_string(static_cast<int>(request.op)));
+  EXPECT_EQ(got.status, want.status) << got.text << " vs " << want.text;
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.values, want.values);
+  if (request.y > static_cast<Index>(request.b.size())) {
+    EXPECT_EQ(got.status, Status::kError) << "a window past |b| is an error";
+  }
+  if (request.op != Op::kStats && request.op != Op::kHealth) {
+    EXPECT_EQ(got.text, want.text);
+    return;
+  }
+  std::set<std::string> keys = json_keys(got.text);
+  std::erase_if(keys, [](const std::string& k) { return k.starts_with("frontend_"); });
+  EXPECT_EQ(keys, json_keys(want.text));
+  EXPECT_FALSE(keys.empty());
+}
+
+/// An engine (+ corpus) answering through a direct EngineService, in step
+/// with a transport under test over an identical engine.
+struct Direct {
+  ComparisonEngine engine{small_engine(1)};
+  std::unique_ptr<CorpusManager> corpus;
+  EngineService service;
+
+  explicit Direct(bool with_corpus)
+      : corpus(with_corpus ? std::make_unique<CorpusManager>(engine, CorpusManagerOptions{})
+                           : nullptr),
+        service(engine, corpus.get()) {}
+};
+
+TEST(Frontend, ReactorAnswersEveryOpLikeEngineServiceHandle) {
+  for (const bool with_corpus : {false, true}) {
+    SCOPED_TRACE(with_corpus ? "with a corpus" : "no corpus");
+    Reactor reactor(small_engine(1), quiet_frontend(), with_corpus);
+    Direct direct(with_corpus);
+    Client client(reactor.port());
+    for (const Request& request : every_op()) {
+      client.send(request);
+      const auto got = client.recv();
+      ASSERT_TRUE(got.has_value());
+      expect_same_answer(request, *got, direct.service.handle(request));
+    }
+  }
+}
+
+/// Frames `requests` into one byte stream, as a stdio peer would send them.
+std::string frames_of(const std::vector<Request>& requests) {
+  std::string bytes;
+  for (const Request& request : requests) bytes += frame_payload(encode_request(request));
+  return bytes;
+}
+
+/// Decodes every response frame of a stdio session's output.
+std::vector<Response> responses_in(const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::vector<Response> responses;
+  while (const auto payload = read_frame(in)) responses.push_back(decode_response(*payload));
+  return responses;
+}
+
+TEST(ServeStream, AnswersEveryOpLikeEngineServiceHandle) {
+  for (const bool with_corpus : {false, true}) {
+    SCOPED_TRACE(with_corpus ? "with a corpus" : "no corpus");
+    Direct served(with_corpus);
+    Direct direct(with_corpus);
+    const std::vector<Request> requests = every_op();
+    std::istringstream in(frames_of(requests));
+    std::ostringstream out;
+    serve_stream(served.service, in, out);  // returns at the clean EOF
+    const std::vector<Response> got = responses_in(out.str());
+    ASSERT_EQ(got.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expect_same_answer(requests[i], got[i], direct.service.handle(requests[i]));
+    }
+  }
+}
+
+TEST(ServeStream, StreamsPlotTilesThenATerminalFrame) {
+  EngineOptions options = small_engine(1);
+  options.plot_tile_cells = 8;  // force a multi-tile stream
+  ComparisonEngine engine(options);
+  EngineService service(engine);
+  Request plot;
+  plot.op = Op::kAlignmentPlot;
+  plot.a = testing::random_string(96, 4, 8311);
+  plot.b = testing::random_string(96, 4, 8312);
+  plot.plot = PlotSpec{.rows = 4, .cols = 5, .step = 12, .window = 24};
+  Request ping;
+  ping.op = Op::kPing;
+
+  std::istringstream in(frames_of({plot, ping}));
+  std::ostringstream out;
+  serve_stream(service, in, out);
+  const std::vector<Response> got = responses_in(out.str());
+
+  std::vector<Response> want;
+  service.stream(plot, [&](Response&& frame) {
+    want.push_back(std::move(frame));
+    return true;
+  });
+  ASSERT_GT(want.size(), 1u);
+  ASSERT_EQ(got.size(), want.size() + 1);
+  PlotAssembler assembler(4, 5, plot.plot->quant);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(encode_response(got[i]), encode_response(want[i])) << "frame " << i;
+    EXPECT_EQ(terminal_response_frame(got[i]), i + 1 == want.size()) << "frame " << i;
+    assembler.feed(got[i]);
+  }
+  EXPECT_TRUE(assembler.complete());
+  EXPECT_EQ(got.back().status, Status::kOk);  // the ping after the stream
+  EXPECT_FALSE(got.back().tile.has_value());
+}
+
+TEST(ServeStream, MalformedFrameAnswersOneErrorAndEndsTheSession) {
+  ComparisonEngine engine(small_engine(1));
+  EngineService service(engine);
+  Request ping;
+  ping.op = Op::kPing;
+  // A ping, a header declaring more than kMaxFrameBytes, then a ping the
+  // session must never reach.
+  std::istringstream in(frames_of({ping}) + std::string("\xff\xff\xff\xff", 4) +
+                        frames_of({ping}));
+  std::ostringstream out;
+  serve_stream(service, in, out);
+  const std::vector<Response> got = responses_in(out.str());
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].status, Status::kOk);
+  EXPECT_EQ(got[1].status, Status::kError);
+  EXPECT_FALSE(got[1].text.empty());
+}
+
+TEST(ServeStream, CleanEofReturnsWithoutAFrame) {
+  ComparisonEngine engine(small_engine(1));
+  EngineService service(engine);
+  std::istringstream in;
+  std::ostringstream out;
+  serve_stream(service, in, out);
+  EXPECT_TRUE(out.str().empty());
 }
 
 }  // namespace

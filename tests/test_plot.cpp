@@ -3,8 +3,9 @@
 // per-window oracle, quantization, hostile-spec rejection at both the engine
 // and the decoder, split-invariant tile streaming (small plot_tile_cells
 // forces multi-tile streams), concurrent plots off one shared index (the
-// tsan workload), the reactor + threaded frontends streaming over real
-// sockets, and the shard router relaying streams with mid-stream failover.
+// tsan workload), the reactor streaming over real sockets the very frames a
+// direct EngineService::stream emits, and the shard router relaying streams
+// with mid-stream failover.
 // Suites are named AlignmentPlot* -- the tsan preset filter keys on that.
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
 #include "engine/shard/router.hpp"
 #include "util/random.hpp"
 
@@ -690,28 +692,10 @@ TEST(AlignmentPlotFrontend, HostilePlotRequestDiesAtDecodeWithOneErrorFrame) {
   EXPECT_EQ(pong->status, Status::kOk);
 }
 
-struct ThreadedServer {
-  ComparisonEngine engine;
-  ThreadedFrontend server;
-  std::thread thread;
-
-  ThreadedServer(EngineOptions engine_options, FrontendOptions frontend_options)
-      : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
-        thread([this] { server.run(); }) {}
-
-  ~ThreadedServer() {
-    if (thread.joinable()) {
-      server.request_stop();
-      thread.join();
-    }
-  }
-
-  [[nodiscard]] int port() const { return server.port(); }
-};
-
-TEST(AlignmentPlotFrontend, ThreadedFrontendStreamsTheSameTiles) {
-  ThreadedServer server(plot_engine(true, /*tile_cells=*/32), quiet_frontend());
+TEST(AlignmentPlotFrontend, ReactorTilesEqualEngineServiceStreamBytes) {
+  // The reactor adds transport only: its tile frames are byte-for-byte the
+  // frames a direct EngineService::stream emits for the same request.
+  Reactor reactor(plot_engine(true, /*tile_cells=*/32), quiet_frontend());
   const Sequence a = random_seq(160, 161);
   const Sequence b = random_seq(160, 162);
   PlotSpec spec;
@@ -719,13 +703,29 @@ TEST(AlignmentPlotFrontend, ThreadedFrontendStreamsTheSameTiles) {
   spec.cols = 8;
   spec.step = 9;
   spec.window = 16;
+  const Request request = plot_request(a, b, spec);
 
-  WireClient client(server.port());
-  client.send(plot_request(a, b, spec));
+  WireClient client(reactor.port());
+  client.send(request);
+  std::vector<std::string> served;
+  while (true) {
+    const auto response = client.recv();
+    ASSERT_TRUE(response.has_value()) << "EOF mid-stream";
+    served.push_back(encode_response(*response));
+    if (terminal_response_frame(*response)) break;
+  }
+
+  EngineService direct(reactor.engine);
+  std::vector<std::string> streamed;
   PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  const std::size_t frames = client.drain_stream(assembler);
-  EXPECT_GT(frames, 1u);
-  EXPECT_TRUE(assembler.complete());
+  direct.stream(request, [&](Response&& frame) {
+    streamed.push_back(encode_response(frame));
+    assembler.feed(frame);
+    return true;
+  });
+  EXPECT_GT(streamed.size(), 1u);
+  EXPECT_EQ(served, streamed);
+  ASSERT_TRUE(assembler.complete());
   EXPECT_EQ(assembler.cell(3, 4), naive_cell(a, b, spec, 3, 4));
 }
 
