@@ -906,7 +906,7 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
     const SemiLocalKernel strip = semi_local_kernel(strip_a, b);
     for (const Index v : {Index{0}, spec.cols / 2, spec.cols - 1}) {
       const Index j0 = spec.col_start(v);
-      const Index truth = kernel_string_substring(strip, j0, j0 + window);
+      const Index truth = strip.string_substring(j0, j0 + window);
       if (planner_grid[static_cast<std::size_t>(u * spec.cols + v)] != truth) {
         ++r.plot_mismatches;
       }

@@ -4,7 +4,7 @@
 //
 // Besides the google-benchmark suite, main() writes a machine-readable
 // comb-kernel report to results/bench_micro.json: ns/cell for every
-// dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths;
+// dispatchable kernel tier (scalar / AVX-512, both strand widths;
 // 16-bit strands on 16-bit symbol codes) plus single-call vs batched
 // semi-local throughput, the serial sweep of an 8000^2 grid banded vs
 // unbanded, and the pair-key digest's ns/symbol and GB/s at 1k and 16k
@@ -293,7 +293,7 @@ void write_kernel_report(const std::string& path) {
                   kernel_ns_per_cell<std::uint16_t>(&comb_cells_portable<std::uint16_t>),
                   kernel_ns_per_cell<std::uint32_t>(&comb_cells_portable<std::uint32_t>)});
 #endif
-  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx512}) {
     if (!kernel_isa_supported(isa)) continue;
     const CombKernelTable& t = kernel_table(isa);
     rows.push_back({std::string(t.name), kernel_ns_per_cell(t.u16),

@@ -85,13 +85,13 @@ LengthResult run_length(Index length, Index queries) {
     for (const Win& w : windows) {
       switch (w.kind) {
         case QueryKind::kLcs:
-          sink += kernel_lcs(kernel);
+          sink += kernel.lcs();
           break;
         case QueryKind::kStringSubstring:
-          sink += kernel_string_substring(kernel, w.x, w.y);
+          sink += kernel.string_substring(w.x, w.y);
           break;
         case QueryKind::kSubstringString:
-          sink += kernel_substring_string(kernel, w.x, w.y);
+          sink += kernel.substring_string(w.x, w.y);
           break;
       }
     }

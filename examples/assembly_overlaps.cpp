@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/fasta.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -37,11 +38,12 @@ struct Overlap {
 };
 
 Overlap best_overlap(const SemiLocalKernel& kernel) {
-  const Index m = kernel.m();
-  const Index n = kernel.n();
+  const QueryIndex index(kernel);
+  const Index m = index.m();
+  const Index n = index.n();
   Overlap best;
   for (Index len = std::min(m, n); len >= 30; --len) {
-    const Index score = kernel.suffix_prefix(m - len, len);
+    const Index score = index.suffix_prefix(m - len, len);
     if (score * 10 >= len * 9) {  // >= 90% identity
       best.length = len;
       best.score = score;

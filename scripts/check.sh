@@ -15,14 +15,19 @@
 # x86-64 baseline) and runs test_comb_kernels, test_combing and the
 # FlatWaveletTree / QueryIndex suites of test_query_index: the configuration
 # runtime kernel dispatch exists for, where the scalar kernel is the
-# autovectorized SSE2 loop and the AVX2/AVX-512 tiers are reached only
-# through CPUID dispatch -- and where the wavelet-tree build loop vectorises
+# autovectorized SSE2 loop and the AVX-512 tier is reached only through
+# CPUID dispatch -- and where the wavelet-tree build loop vectorises
 # differently.
 #
 # After the ASan suite passes, the serialize|store label slice is re-run
 # under ASan explicitly: those suites parse untrusted bytes (codec fuzz) and
 # exercise the mmap seam, so the slice must exist (a label typo would
 # silently drop it from the filter) and must be clean.
+#
+# The query label slice is re-run under ASan as well: kernel member queries,
+# the dominance oracles, and the search/align indexes that keep a QueryIndex
+# next to the kernel it was built from -- owned-buffer code where an
+# off-by-one at m = 0 or n = 0 survives a release build.
 #
 # The frontend label slice is likewise re-run under ASan: the reactor frees
 # connections from inside decoder callbacks (the graveyard pattern), which is
@@ -110,6 +115,13 @@ if ! ctest --preset asan -N -L 'serialize|store' | grep -q 'Total Tests: [1-9]';
   exit 1
 fi
 ctest --preset asan -j "$jobs" -L 'serialize|store'
+
+echo "==> query slice under ASan"
+if ! ctest --preset asan -N -L 'query' | grep -q 'Total Tests: [1-9]'; then
+  echo "error: no tests carry the query label" >&2
+  exit 1
+fi
+ctest --preset asan -j "$jobs" -L 'query'
 
 echo "==> frontend slice under ASan"
 if ! ctest --preset asan -N -L 'frontend' | grep -q 'Total Tests: [1-9]'; then

@@ -35,21 +35,21 @@ Index indel_distance(SequenceView a, SequenceView b) {
 }
 
 Index WindowDistances::window(Index j0, Index j1) const {
-  return kernel_->m() + (j1 - j0) - 2 * kernel_->string_substring(j0, j1);
+  return index_.m() + (j1 - j0) - 2 * index_.string_substring(j0, j1);
 }
 
 Index WindowDistances::prefix_suffix(Index k, Index l) const {
-  return k + (kernel_->n() - l) - 2 * kernel_->prefix_suffix(k, l);
+  return k + (index_.n() - l) - 2 * index_.prefix_suffix(k, l);
 }
 
 std::pair<Index, Index> WindowDistances::best_window(Index width, Index stride) const {
-  if (width < 0 || width > kernel_->n()) {
+  if (width < 0 || width > index_.n()) {
     throw std::invalid_argument("best_window: width outside [0, n]");
   }
   if (stride <= 0) throw std::invalid_argument("best_window: stride must be positive");
   Index best_start = 0;
   Index best = window(0, width);
-  for (Index j0 = stride; j0 + width <= kernel_->n(); j0 += stride) {
+  for (Index j0 = stride; j0 + width <= index_.n(); j0 += stride) {
     const Index d = window(j0, j0 + width);
     if (d < best) {
       best = d;
@@ -61,8 +61,8 @@ std::pair<Index, Index> WindowDistances::best_window(Index width, Index stride) 
 
 std::vector<Index> WindowDistances::end_position_profile(Index slack) const {
   if (slack < 0) throw std::invalid_argument("end_position_profile: negative slack");
-  const Index m = kernel_->m();
-  const Index n = kernel_->n();
+  const Index m = index_.m();
+  const Index n = index_.n();
   std::vector<Index> profile(static_cast<std::size_t>(n) + 1, 0);
   for (Index j1 = 0; j1 <= n; ++j1) {
     // Candidate window starts: widths within [m - slack, m + slack],

@@ -15,6 +15,7 @@
 #pragma once
 
 #include "core/kernel.hpp"
+#include "core/query_index.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -26,12 +27,13 @@ Index levenshtein(SequenceView a, SequenceView b);
 /// Indel edit distance via dynamic programming: |a| + |b| - 2 LCS(a, b).
 Index indel_distance(SequenceView a, SequenceView b);
 
-/// Window-distance queries over a fixed kernel.
+/// Window-distance queries over a fixed kernel, each O(log n) through one
+/// QueryIndex.
 class WindowDistances {
  public:
-  /// Takes a kernel of (pattern a, text b) by reference; the kernel must
-  /// outlive this object.
-  explicit WindowDistances(const SemiLocalKernel& kernel) : kernel_(&kernel) {}
+  /// Builds the QueryIndex of a kernel of (pattern a, text b); the kernel
+  /// itself is not retained.
+  explicit WindowDistances(const SemiLocalKernel& kernel) : index_(kernel) {}
 
   /// d_indel(a, b[j0, j1)).
   [[nodiscard]] Index window(Index j0, Index j1) const;
@@ -52,7 +54,7 @@ class WindowDistances {
   [[nodiscard]] std::vector<Index> end_position_profile(Index slack) const;
 
  private:
-  const SemiLocalKernel* kernel_;
+  QueryIndex index_;
 };
 
 }  // namespace semilocal

@@ -13,10 +13,12 @@
 // ONE semi-local kernel over the blown strings answers the Levenshtein
 // distance of a against every substring of b -- semi-local edit distance,
 // the query family behind approximate matching by edit distance (Sellers,
-// Landau-Vishkin; see the paper's related-work discussion).
+// Landau-Vishkin; see the paper's related-work discussion). The index keeps
+// one QueryIndex over that kernel, so every window costs O(log n).
 #pragma once
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -33,11 +35,11 @@ Index levenshtein_via_lcs(SequenceView a, SequenceView b,
                           const SemiLocalOptions& opts = {});
 
 /// Window edit-distance queries: ED(a, b[j0, j1)) for all windows, from one
-/// kernel over the blown strings.
+/// kernel over the blown strings, kept as its QueryIndex.
 class EditDistanceIndex {
  public:
-  /// Builds the kernel of (blow(a), blow(b)). Throws if either input uses
-  /// the reserved separator symbol.
+  /// Builds the kernel of (blow(a), blow(b)) and indexes it. Throws if
+  /// either input uses the reserved separator symbol.
   EditDistanceIndex(SequenceView a, SequenceView b, const SemiLocalOptions& opts = {});
 
   [[nodiscard]] Index m() const { return m_; }
@@ -58,12 +60,10 @@ class EditDistanceIndex {
   /// Window of width `width` minimizing ED(a, window); {start, distance}.
   [[nodiscard]] std::pair<Index, Index> best_window(Index width, Index stride = 1) const;
 
-  [[nodiscard]] const SemiLocalKernel& kernel() const { return kernel_; }
-
  private:
   Index m_ = 0;
   Index n_ = 0;
-  SemiLocalKernel kernel_;
+  QueryIndex index_;
 };
 
 }  // namespace semilocal

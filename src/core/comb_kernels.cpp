@@ -40,43 +40,6 @@ void comb_cells_scalar(const CombSymbol<StrandT>* __restrict a_rev,
 #if SEMILOCAL_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 tier, 32-bit strands only: _mm256_min_epu32 + _mm256_max_epu32, the
-// match mask from cmpeq on the symbols, blends via blendv. On 16-bit strands
-// the autovectorized scalar kernel beats a hand-written AVX2 one in
-// bench_micro, so the tier's u16 slot holds the scalar kernel.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"), always_inline)) inline
-void avx2_u32_step(const Symbol* __restrict a_rev, const Symbol* __restrict b,
-                   std::uint32_t* __restrict h, std::uint32_t* __restrict v) {
-  const __m256i sa = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_rev));
-  const __m256i sb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-  const __m256i match = _mm256_cmpeq_epi32(sa, sb);
-  const __m256i hs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h));
-  const __m256i vs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  const __m256i mn = _mm256_min_epu32(hs, vs);
-  const __m256i mx = _mm256_max_epu32(hs, vs);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(h), _mm256_blendv_epi8(mn, vs, match));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(v), _mm256_blendv_epi8(mx, hs, match));
-}
-
-__attribute__((target("avx2")))
-void comb_cells_avx2_u32(const Symbol* __restrict a_rev, const Symbol* __restrict b,
-                         std::uint32_t* __restrict h, std::uint32_t* __restrict v,
-                         Index len) {
-  Index j = 0;
-  for (; j + 16 <= len; j += 16) {
-    avx2_u32_step(a_rev + j, b + j, h + j, v + j);
-    avx2_u32_step(a_rev + j + 8, b + j + 8, h + j + 8, v + j + 8);
-  }
-  if (j + 8 <= len) {
-    avx2_u32_step(a_rev + j, b + j, h + j, v + j);
-    j += 8;
-  }
-  if (j < len) comb_cells_scalar(a_rev + j, b + j, h + j, v + j, len - j);
-}
-
-// ---------------------------------------------------------------------------
 // AVX-512 tier: masked vpminu/vpmaxu + mask blends, exactly the paper's
 // Section 6 sketch. Tails use masked loads/stores, so there is no scalar
 // remainder loop at all. u16 needs AVX512BW (vpminuw/vpmaxuw on zmm).
@@ -188,8 +151,6 @@ constexpr CombKernelTable kScalarTable{
     KernelIsa::kScalar, "scalar"};
 
 #if SEMILOCAL_X86
-constexpr CombKernelTable kAvx2Table{
-    &comb_cells_scalar<std::uint16_t>, &comb_cells_avx2_u32, KernelIsa::kAvx2, "avx2"};
 constexpr CombKernelTable kAvx512Table{
     &comb_cells_avx512_u16, &comb_cells_avx512_u32, KernelIsa::kAvx512, "avx512"};
 #endif
@@ -201,7 +162,6 @@ KernelIsa best_supported_isa() {
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
     return KernelIsa::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2")) return KernelIsa::kAvx2;
 #endif
   return KernelIsa::kScalar;
 }
@@ -213,15 +173,13 @@ const CombKernelTable& resolve_dispatch() {
     bool known = true;
     if (std::strcmp(env, "scalar") == 0) {
       requested = KernelIsa::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      requested = KernelIsa::kAvx2;
     } else if (std::strcmp(env, "avx512") == 0) {
       requested = KernelIsa::kAvx512;
     } else {
       known = false;
       std::fprintf(stderr,
                    "semilocal: ignoring unknown SEMILOCAL_KERNEL=%s "
-                   "(want scalar|avx2|avx512)\n", env);
+                   "(want scalar|avx512)\n", env);
     }
     if (known) {
       if (kernel_isa_supported(requested)) {
@@ -244,12 +202,6 @@ bool kernel_isa_supported(KernelIsa isa) {
     case KernelIsa::kAuto:
     case KernelIsa::kScalar:
       return true;
-    case KernelIsa::kAvx2:
-#if SEMILOCAL_X86
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
     case KernelIsa::kAvx512:
 #if SEMILOCAL_X86
       return __builtin_cpu_supports("avx512f") != 0 &&
@@ -263,9 +215,6 @@ bool kernel_isa_supported(KernelIsa isa) {
 
 const CombKernelTable& kernel_table(KernelIsa isa) {
 #if SEMILOCAL_X86
-  if (isa == KernelIsa::kAvx2 && kernel_isa_supported(KernelIsa::kAvx2)) {
-    return kAvx2Table;
-  }
   if (isa == KernelIsa::kAvx512 && kernel_isa_supported(KernelIsa::kAvx512)) {
     return kAvx512Table;
   }

@@ -12,11 +12,11 @@
 // paper's Section 6 AVX-512 suggestion. This header exposes a portable
 // scalar kernel (the autovectorized bitwise-select loop, i.e. the paper's
 // semi_antidiag_SIMD inner loop), hand-written AVX-512 kernels for both
-// strand widths (uint16_t and uint32_t), a hand-written AVX2 kernel for
-// 32-bit strands only, and a CPUID-based dispatcher resolved once per
-// process. A hand-written tier is kept only where bench_micro shows it
-// beating the scalar kernel: AVX2 on 16-bit strands does not, so that table
-// slot holds the scalar kernel.
+// strand widths (uint16_t and uint32_t), and a CPUID-based dispatcher
+// resolved once per process. A hand-written tier is kept only where
+// bench_micro shows it beating the scalar kernel: AVX2 kernels did not (on
+// an AVX2-only CPU the scalar kernel runs; built with -march=native it
+// autovectorises to AVX2 itself), AVX-512 does on both widths.
 //
 // 16-bit strands read 16-bit symbol codes (Workspace::codes), 32-bit strands
 // the raw 32-bit Symbols: the u16 working set per cell is then 8 bytes, and
@@ -25,8 +25,8 @@
 // Every implementation produces bit-identical strand arrays: the dispatch
 // is purely a throughput decision, never a semantic one.
 //
-// Dispatch order: SEMILOCAL_KERNEL environment override (scalar|avx2|avx512)
-// if set and supported, else the widest ISA the CPU supports.
+// Dispatch order: SEMILOCAL_KERNEL environment override (scalar|avx512) if
+// set and supported, else the widest ISA the CPU supports.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,6 @@ namespace semilocal {
 enum class KernelIsa {
   kAuto,    ///< resolve via kernel_dispatch() (env override or best CPU tier)
   kScalar,  ///< portable branchless loop (compiler autovectorization only)
-  kAvx2,    ///< 256-bit min/max + blendv (32-bit strands; u16 is scalar)
   kAvx512,  ///< 512-bit masked vpminu/vpmaxu + mask blends (needs BW for u16)
 };
 
@@ -63,7 +62,7 @@ struct CombKernelTable {
   CombCellsFn<std::uint16_t> u16;
   CombCellsFn<std::uint32_t> u32;
   KernelIsa isa;
-  std::string_view name;  ///< "scalar" | "avx2" | "avx512"
+  std::string_view name;  ///< "scalar" | "avx512"
 
   template <typename StrandT>
   [[nodiscard]] CombCellsFn<StrandT> get() const {

@@ -8,7 +8,7 @@
 //   semi_antidiag_SIMD  - comb_antidiag(branchless=true): the conditional
 //                         swap becomes the branchless update of Section 4.1,
 //                         executed by the runtime-dispatched SIMD kernel
-//                         layer (core/comb_kernels.hpp): hand-written AVX2 /
+//                         layer (core/comb_kernels.hpp): hand-written
 //                         AVX-512 masked min-max where the CPU supports it,
 //                         the autovectorized bitwise-select loop otherwise
 //   semi_load_balanced  - comb_load_balanced: the first and third phase are
@@ -54,11 +54,11 @@ struct CombOptions {
   /// Use the autovectorized min/max formulation of the branchless inner loop
   /// instead of the dispatched kernels: h' = match ? v : min(h,v),
   /// v' = match ? h : max(h,v). Kept as the ablation (A6) of the formulation
-  /// itself; the explicit AVX2/AVX-512 kernels use the same formulation with
+  /// itself; the explicit AVX-512 kernels use the same formulation with
   /// hand-placed masks.
   bool minmax = false;
   /// Kernel tier for the branchless inner loop. kAuto resolves once per
-  /// process: SEMILOCAL_KERNEL=scalar|avx2|avx512 override, else the widest
+  /// process: SEMILOCAL_KERNEL=scalar|avx512 override, else the widest
   /// ISA the CPU supports. Ignored when minmax or !branchless.
   KernelIsa isa = KernelIsa::kAuto;
 };

@@ -7,19 +7,11 @@
 namespace semilocal {
 
 SemiLocalKernel::SemiLocalKernel(Permutation kernel, Index m, Index n)
-    : kernel_(std::move(kernel)), m_(m), n_(n), lazy_tree_(std::make_unique<LazyTree>()) {
+    : kernel_(std::move(kernel)), m_(m), n_(n) {
   if (m < 0 || n < 0) throw std::invalid_argument("SemiLocalKernel: negative lengths");
   if (kernel_.size() != m + n) {
     throw std::invalid_argument("SemiLocalKernel: kernel order must be m + n");
   }
-}
-
-Index SemiLocalKernel::sigma(Index i, Index j) const {
-  if (dense_) return dense_->count(i, j);
-  if (wavelet_) return wavelet_->count(i, j);
-  LazyTree& lazy = *lazy_tree_;
-  std::call_once(lazy.once, [&] { lazy.tree = std::make_unique<const MergesortTree>(kernel_); });
-  return lazy.tree->count(i, j);
 }
 
 Index SemiLocalKernel::lcs() const {
@@ -33,7 +25,7 @@ Index SemiLocalKernel::lcs() const {
 
 Index SemiLocalKernel::h(Index i, Index j) const {
   check_h_range(order(), i, j);
-  return h_from_sigma(m_, i, j, sigma(i, j));
+  return h_from_sigma(m_, i, j, kernel_.dominance_sum(i, j));
 }
 
 Index SemiLocalKernel::string_substring(Index j0, Index j1) const {
@@ -54,14 +46,6 @@ Index SemiLocalKernel::prefix_suffix(Index k, Index l) const {
 Index SemiLocalKernel::suffix_prefix(Index s, Index j) const {
   const HQuery q = suffix_prefix_query(m_, n_, s, j);
   return h(q.i, q.j) - q.correction;
-}
-
-void SemiLocalKernel::enable_dense_queries() {
-  if (!dense_) dense_ = std::make_unique<DensePrefixOracle>(kernel_);
-}
-
-void SemiLocalKernel::enable_wavelet_queries() {
-  if (!wavelet_) wavelet_ = std::make_unique<WaveletTree>(kernel_);
 }
 
 DenseMatrix SemiLocalKernel::to_h_matrix() const {

@@ -13,25 +13,19 @@
 // m..m+n-1; column c is the exit position, numbering the bottom edge
 // left-to-right 0..n-1 followed by the right edge bottom-to-top n..n+m-1.
 //
-// Queries answer all four semi-local sub-problems (Definition 3.2). By
-// default each query performs a dominance count in O(log^2) time through a
-// merge-sort tree built lazily on first use (once, under a std::once_flag, so
-// any number of threads may query one shared kernel); small kernels can
-// instead materialize the dense distribution matrix for O(1) queries. The
-// global score lcs() needs no structure at all: it is an O(m + n) read-off
-// of the strands that cross.
+// Queries answer all four semi-local sub-problems (Definition 3.2). The
+// kernel is a plain immutable value -- permutation, m and n, nothing else --
+// so any number of threads may query one shared kernel. Each member query is
+// the stateless O(m + n) scan: one dominance count sigma(i, j) straight off
+// the permutation, cheaper than building any structure for a one-shot
+// question. A caller that asks many queries of one kernel builds one
+// QueryIndex (core/query_index.hpp, O(log n) per query) and asks it instead.
+// The global score lcs() is an O(m + n) read-off of the strands that cross.
 #pragma once
-
-#include <memory>
-#include <mutex>
-#include <optional>
 
 #include "braid/monge.hpp"
 #include "braid/permutation.hpp"
 #include "braid/steady_ant.hpp"
-#include "dominance/mergesort_tree.hpp"
-#include "dominance/prefix_oracle.hpp"
-#include "dominance/wavelet_tree.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -39,32 +33,11 @@ namespace semilocal {
 /// Implicit semi-local LCS solution for a fixed string pair.
 class SemiLocalKernel {
  public:
-  SemiLocalKernel() : lazy_tree_(std::make_unique<LazyTree>()) {}
+  /// The empty kernel (m = n = 0).
+  SemiLocalKernel() = default;
 
   /// Wraps a kernel permutation of order m + n. Throws if sizes disagree.
   SemiLocalKernel(Permutation kernel, Index m, Index n);
-
-  // Copying duplicates the kernel but not the lazily-built query caches.
-  SemiLocalKernel(const SemiLocalKernel& other)
-      : kernel_(other.kernel_),
-        m_(other.m_),
-        n_(other.n_),
-        lazy_tree_(std::make_unique<LazyTree>()) {}
-  SemiLocalKernel& operator=(const SemiLocalKernel& other) {
-    if (this != &other) {
-      kernel_ = other.kernel_;
-      m_ = other.m_;
-      n_ = other.n_;
-      lazy_tree_ = std::make_unique<LazyTree>();
-      dense_.reset();
-      wavelet_.reset();
-    }
-    return *this;
-  }
-  // Moving carries the built caches along; a moved-from kernel may only be
-  // assigned to or destroyed.
-  SemiLocalKernel(SemiLocalKernel&&) = default;
-  SemiLocalKernel& operator=(SemiLocalKernel&&) = default;
 
   [[nodiscard]] Index m() const { return m_; }
   [[nodiscard]] Index n() const { return n_; }
@@ -92,14 +65,6 @@ class SemiLocalKernel {
   /// suffix-prefix: LCS(a[s, m), b[0, j)).
   [[nodiscard]] Index suffix_prefix(Index s, Index j) const;
 
-  /// Materializes the dense (m+n+1)^2 distribution table for O(1) queries
-  /// (quadratic memory; only sensible for small inputs).
-  void enable_dense_queries();
-
-  /// Builds a wavelet tree for O(log n) queries in O(n log n) bits --
-  /// faster per query and smaller than the default merge-sort tree.
-  void enable_wavelet_queries();
-
   /// Full H matrix (size (m+n+1)^2), for tests and visualisation.
   [[nodiscard]] DenseMatrix to_h_matrix() const;
 
@@ -108,21 +73,9 @@ class SemiLocalKernel {
   [[nodiscard]] SemiLocalKernel flipped() const;
 
  private:
-  [[nodiscard]] Index sigma(Index i, Index j) const;
-
-  // The merge-sort tree behind sigma(), built on first use. Held by pointer
-  // so the kernel stays movable (std::once_flag is not).
-  struct LazyTree {
-    std::once_flag once;
-    std::unique_ptr<const MergesortTree> tree;
-  };
-
   Permutation kernel_;
   Index m_ = 0;
   Index n_ = 0;
-  std::unique_ptr<LazyTree> lazy_tree_;
-  std::unique_ptr<DensePrefixOracle> dense_;  // optional
-  std::unique_ptr<WaveletTree> wavelet_;      // optional
 };
 
 /// Kernel composition along a-concatenation (Theorem 3.4): from P_{a',b} and

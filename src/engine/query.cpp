@@ -8,16 +8,7 @@
 
 namespace semilocal {
 
-Index kernel_h(const SemiLocalKernel& kernel, Index i, Index j) {
-  check_h_range(kernel.order(), i, j);
-  return h_from_sigma(kernel.m(), i, j, kernel.permutation().dominance_sum(i, j));
-}
-
 namespace {
-
-Index scan_answer(const SemiLocalKernel& kernel, const HQuery& q) {
-  return kernel_h(kernel, q.i, q.j) - q.correction;
-}
 
 HQuery lower_window(Index m, Index n, const WindowQuery& w) {
   switch (w.kind) {
@@ -44,16 +35,6 @@ Index compressed_answer(const CompressedKernel& blob, const HQuery& q,
 }
 
 }  // namespace
-
-Index kernel_lcs(const SemiLocalKernel& kernel) { return kernel.lcs(); }
-
-Index kernel_string_substring(const SemiLocalKernel& kernel, Index j0, Index j1) {
-  return scan_answer(kernel, string_substring_query(kernel.m(), kernel.n(), j0, j1));
-}
-
-Index kernel_substring_string(const SemiLocalKernel& kernel, Index i0, Index i1) {
-  return scan_answer(kernel, substring_string_query(kernel.m(), kernel.n(), i0, i1));
-}
 
 Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                    bool use_index, QueryCounters* counters) {
@@ -82,11 +63,11 @@ Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
   const SemiLocalKernel& kernel = entry.kernel();
   switch (kind) {
     case QueryKind::kLcs:
-      return kernel_lcs(kernel);
+      return kernel.lcs();
     case QueryKind::kStringSubstring:
-      return kernel_string_substring(kernel, x, y);
+      return kernel.string_substring(x, y);
     case QueryKind::kSubstringString:
-      return kernel_substring_string(kernel, x, y);
+      return kernel.substring_string(x, y);
   }
   throw std::invalid_argument("answer_query: unknown query kind");
 }

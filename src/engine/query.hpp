@@ -12,9 +12,10 @@
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
 //     so cold-tail entries answer without ever being decoded in full.
-//   * Scan (the fallback): the stateless O(m + n) dominance scan on the
-//     immutable permutation -- no hidden state, no synchronization, and for
-//     a one-shot query cheaper than building any structure.
+//   * Scan (the fallback): SemiLocalKernel's own member queries, the
+//     stateless O(m + n) dominance scan on the immutable permutation -- no
+//     hidden state, no synchronization, and for a one-shot query cheaper
+//     than building any structure.
 //
 // answer_query() routes between them and feeds the queries_indexed /
 // queries_scanned / queries_compressed counters the stats endpoint surfaces.
@@ -33,19 +34,6 @@
 #include "util/types.hpp"
 
 namespace semilocal {
-
-/// Element H(i, j) of the semi-local LCS matrix; i, j in [0, m+n].
-Index kernel_h(const SemiLocalKernel& kernel, Index i, Index j);
-
-/// LCS(a, b): the global score, H(m, n) (SemiLocalKernel::lcs's O(m + n)
-/// read-off).
-Index kernel_lcs(const SemiLocalKernel& kernel);
-
-/// string-substring: LCS(a, b[j0, j1)), 0 <= j0 <= j1 <= n.
-Index kernel_string_substring(const SemiLocalKernel& kernel, Index j0, Index j1);
-
-/// substring-string: LCS(a[i0, i1), b), 0 <= i0 <= i1 <= m.
-Index kernel_substring_string(const SemiLocalKernel& kernel, Index i0, Index i1);
 
 /// The query kinds the serving path answers off a cached kernel.
 enum class QueryKind : std::uint8_t {

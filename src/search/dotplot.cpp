@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/query_index.hpp"
+
 namespace semilocal {
 
 Dotplot compute_dotplot(SequenceView a, SequenceView b, Index rows, Index cols,
@@ -26,11 +28,11 @@ Dotplot compute_dotplot(SequenceView a, SequenceView b, Index rows, Index cols,
     const auto chunk = a.subspan(static_cast<std::size_t>(a0), static_cast<std::size_t>(a1 - a0));
     SemiLocalOptions inner = opts;
     inner.parallel = false;
-    const auto kernel = semi_local_kernel(chunk, b, inner);
+    const QueryIndex index(semi_local_kernel(chunk, b, inner));
     for (Index c = 0; c < cols; ++c) {
       const Index b0 = n * c / cols;
       const Index b1 = n * (c + 1) / cols;
-      const Index score = kernel.string_substring(b0, b1);
+      const Index score = index.string_substring(b0, b1);
       plot.identity[static_cast<std::size_t>(r * cols + c)] =
           static_cast<double>(score) / static_cast<double>(std::max<Index>(1, a1 - a0));
     }

@@ -1,9 +1,9 @@
 // Similarity dotplots from semi-local kernels.
 //
 // Partitions string a into `rows` chunks; for each chunk one kernel of
-// (chunk, b) yields the LCS identity of the chunk against EVERY column
-// window of b -- so an R x C dotplot costs R kernels instead of R*C
-// alignments. Used by the CLI's `dotplot` subcommand and handy for spotting
+// (chunk, b), queried through one QueryIndex, yields the LCS identity of the
+// chunk against EVERY column window of b -- so an R x C dotplot costs R
+// kernels instead of R*C alignments. Used by the CLI's `dotplot` subcommand and handy for spotting
 // rearrangements (inversions, translocations) between related sequences.
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace semilocal {
 
@@ -18,29 +19,31 @@ MultiPatternIndex::MultiPatternIndex(std::vector<Sequence> patterns, SequenceVie
     kernels_[static_cast<std::size_t>(p)] =
         semi_local_kernel(patterns_[static_cast<std::size_t>(p)], text_, inner);
   }
+  indexes_.reserve(kernels_.size());
+  for (const SemiLocalKernel& kernel : kernels_) indexes_.emplace_back(kernel);
 }
 
 std::vector<PatternMatch> MultiPatternIndex::best_matches(Index width_slack_pct) const {
   std::vector<PatternMatch> out;
   out.reserve(patterns_.size());
   for (Index p = 0; p < pattern_count(); ++p) {
-    const auto& kernel = kernels_[static_cast<std::size_t>(p)];
+    const QueryIndex& index = indexes_[static_cast<std::size_t>(p)];
     const Index plen = static_cast<Index>(patterns_[static_cast<std::size_t>(p)].size());
     const Index width =
-        std::min<Index>(kernel.n(), plen * (100 + width_slack_pct) / 100);
+        std::min<Index>(index.n(), plen * (100 + width_slack_pct) / 100);
     PatternMatch best;
     best.pattern_id = p;
     best.end = width;
     best.score = -1;
-    for (Index j0 = 0; j0 + width <= kernel.n(); ++j0) {
-      const Index s = kernel.string_substring(j0, j0 + width);
+    for (Index j0 = 0; j0 + width <= index.n(); ++j0) {
+      const Index s = index.string_substring(j0, j0 + width);
       if (s > best.score) {
         best.score = s;
         best.start = j0;
         best.end = j0 + width;
       }
     }
-    if (best.score < 0) best.score = kernel.string_substring(0, kernel.n());
+    if (best.score < 0) best.score = index.string_substring(0, index.n());
     best.identity = plen > 0 ? static_cast<double>(best.score) / static_cast<double>(plen) : 0.0;
     out.push_back(best);
   }
@@ -55,15 +58,15 @@ std::vector<PatternMatch> MultiPatternIndex::find_all(double min_identity, Index
   }
   std::vector<PatternMatch> out;
   for (Index p = 0; p < pattern_count(); ++p) {
-    const auto& kernel = kernels_[static_cast<std::size_t>(p)];
+    const QueryIndex& index = indexes_[static_cast<std::size_t>(p)];
     const Index plen = static_cast<Index>(patterns_[static_cast<std::size_t>(p)].size());
     if (plen == 0) continue;
     const Index width =
-        std::min<Index>(kernel.n(), plen * (100 + width_slack_pct) / 100);
+        std::min<Index>(index.n(), plen * (100 + width_slack_pct) / 100);
     // Collect candidate windows, then greedily keep non-overlapping peaks.
     std::vector<PatternMatch> candidates;
-    for (Index j0 = 0; j0 + width <= kernel.n(); j0 += stride) {
-      const Index s = kernel.string_substring(j0, j0 + width);
+    for (Index j0 = 0; j0 + width <= index.n(); j0 += stride) {
+      const Index s = index.string_substring(j0, j0 + width);
       const double identity = static_cast<double>(s) / static_cast<double>(plen);
       if (identity >= min_identity) {
         candidates.push_back({p, j0, j0 + width, s, identity});

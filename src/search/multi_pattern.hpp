@@ -1,14 +1,16 @@
 // Multi-pattern approximate search over one text.
 //
-// Builds one semi-local kernel per pattern (embarrassingly parallel across
-// patterns -- a coarse-grained layer on top of whatever per-kernel strategy
-// is configured) and answers window queries for all of them: the dictionary
-// counterpart of examples/approximate_match.
+// Builds one semi-local kernel and one QueryIndex per pattern (embarrassingly
+// parallel across patterns -- a coarse-grained layer on top of whatever
+// per-kernel strategy is configured) and answers window queries for all of
+// them in O(log n) each: the dictionary counterpart of
+// examples/approximate_match.
 #pragma once
 
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -25,7 +27,7 @@ struct PatternMatch {
 /// Kernels for a pattern dictionary against a fixed text.
 class MultiPatternIndex {
  public:
-  /// Builds all kernels. `opts` selects the per-kernel algorithm; pattern-
+  /// Builds all kernels and their indexes. `opts` selects the per-kernel algorithm; pattern-
   /// level OpenMP parallelism is used when `parallel_build`.
   MultiPatternIndex(std::vector<Sequence> patterns, SequenceView text,
                     const SemiLocalOptions& opts = {}, bool parallel_build = true);
@@ -53,6 +55,7 @@ class MultiPatternIndex {
   std::vector<Sequence> patterns_;
   Sequence text_;
   std::vector<SemiLocalKernel> kernels_;
+  std::vector<QueryIndex> indexes_;  ///< one per kernel, same order
 };
 
 }  // namespace semilocal

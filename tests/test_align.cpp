@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "core/api.hpp"
 #include "oracles.hpp"
@@ -192,6 +193,47 @@ TEST(EditDistanceIndex, BestWindowFindsPlantedNeighbour) {
   const auto [start, dist] = index.best_window(60);
   EXPECT_NEAR(static_cast<double>(start), 300.0, 4.0);
   EXPECT_LT(dist, 12);
+}
+
+// m = 0 and n = 0: the blown kernel has order 2n (or 2m, or 0) and its
+// QueryIndex must still answer every window against direct Levenshtein.
+TEST(EditDistanceIndex, EmptyPatternOrEmptyText) {
+  const auto a = testing::random_string(7, 3, 48);
+  const auto b = testing::random_string(9, 3, 49);
+  const SequenceView va{a};
+  const SequenceView vb{b};
+
+  const EditDistanceIndex empty_a(Sequence{}, b);
+  EXPECT_EQ(empty_a.m(), 0);
+  EXPECT_EQ(empty_a.distance(), 9);
+  for (Index j0 = 0; j0 <= 9; ++j0) {
+    for (Index j1 = j0; j1 <= 9; ++j1) {
+      EXPECT_EQ(empty_a.window(j0, j1), j1 - j0) << j0 << "," << j1;
+    }
+  }
+  EXPECT_EQ(empty_a.a_window(0, 0), 9);
+  EXPECT_EQ(empty_a.prefix_suffix(0, 4), 5);
+  EXPECT_EQ(empty_a.best_window(3), (std::pair<Index, Index>{0, 3}));
+
+  const EditDistanceIndex empty_b(a, Sequence{});
+  EXPECT_EQ(empty_b.n(), 0);
+  EXPECT_EQ(empty_b.distance(), 7);
+  EXPECT_EQ(empty_b.window(0, 0), 7);
+  for (Index i0 = 0; i0 <= 7; ++i0) {
+    for (Index i1 = i0; i1 <= 7; ++i1) {
+      EXPECT_EQ(empty_b.a_window(i0, i1), i1 - i0) << i0 << "," << i1;
+    }
+  }
+  for (Index k = 0; k <= 7; ++k) {
+    EXPECT_EQ(empty_b.prefix_suffix(k, 0),
+              levenshtein(va.subspan(0, static_cast<std::size_t>(k)), vb.subspan(9)));
+  }
+  EXPECT_EQ(empty_b.best_window(0), (std::pair<Index, Index>{0, 7}));
+
+  const EditDistanceIndex both(Sequence{}, Sequence{});
+  EXPECT_EQ(both.distance(), 0);
+  EXPECT_EQ(both.a_window(0, 0), 0);
+  EXPECT_EQ(both.prefix_suffix(0, 0), 0);
 }
 
 TEST(EditDistanceIndex, RejectsReservedSeparator) {

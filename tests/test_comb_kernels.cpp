@@ -56,7 +56,6 @@ namespace {
 
 std::vector<KernelIsa> supported_isas() {
   std::vector<KernelIsa> out = {KernelIsa::kScalar};
-  if (kernel_isa_supported(KernelIsa::kAvx2)) out.push_back(KernelIsa::kAvx2);
   if (kernel_isa_supported(KernelIsa::kAvx512)) out.push_back(KernelIsa::kAvx512);
   return out;
 }

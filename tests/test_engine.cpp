@@ -540,20 +540,20 @@ TEST(QueryLayer, MatchesBruteForceOracle) {
   const auto a = testing::random_string(18, 3, 11);
   const auto b = testing::random_string(23, 3, 12);
   const SemiLocalKernel kernel = semi_local_kernel(a, b);
-  EXPECT_EQ(kernel_lcs(kernel), testing::lcs_oracle(a, b));
+  EXPECT_EQ(kernel.lcs(), testing::lcs_oracle(a, b));
   const auto n = static_cast<Index>(b.size());
   const auto m = static_cast<Index>(a.size());
   for (Index j0 = 0; j0 <= n; ++j0) {
     for (Index j1 = j0; j1 <= n; ++j1) {
       const Sequence window(b.begin() + j0, b.begin() + j1);
-      ASSERT_EQ(kernel_string_substring(kernel, j0, j1), testing::lcs_oracle(a, window))
+      ASSERT_EQ(kernel.string_substring(j0, j1), testing::lcs_oracle(a, window))
           << "j0=" << j0 << " j1=" << j1;
     }
   }
   for (Index i0 = 0; i0 <= m; ++i0) {
     for (Index i1 = i0; i1 <= m; ++i1) {
       const Sequence window(a.begin() + i0, a.begin() + i1);
-      ASSERT_EQ(kernel_substring_string(kernel, i0, i1), testing::lcs_oracle(window, b))
+      ASSERT_EQ(kernel.substring_string(i0, i1), testing::lcs_oracle(window, b))
           << "i0=" << i0 << " i1=" << i1;
     }
   }
@@ -562,10 +562,10 @@ TEST(QueryLayer, MatchesBruteForceOracle) {
 TEST(QueryLayer, RejectsOutOfRangeWindows) {
   const SemiLocalKernel kernel =
       semi_local_kernel(testing::random_string(8, 3, 1), testing::random_string(9, 3, 2));
-  EXPECT_THROW((void)kernel_string_substring(kernel, -1, 3), std::out_of_range);
-  EXPECT_THROW((void)kernel_string_substring(kernel, 4, 2), std::out_of_range);
-  EXPECT_THROW((void)kernel_string_substring(kernel, 0, 10), std::out_of_range);
-  EXPECT_THROW((void)kernel_substring_string(kernel, 0, 9), std::out_of_range);
+  EXPECT_THROW((void)kernel.string_substring(-1, 3), std::out_of_range);
+  EXPECT_THROW((void)kernel.string_substring(4, 2), std::out_of_range);
+  EXPECT_THROW((void)kernel.string_substring(0, 10), std::out_of_range);
+  EXPECT_THROW((void)kernel.substring_string(0, 9), std::out_of_range);
 }
 
 TEST(Protocol, RequestRoundTrips) {

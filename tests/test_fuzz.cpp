@@ -9,7 +9,12 @@
 #include "braid/monge.hpp"
 #include "braid/steady_ant.hpp"
 #include "core/api.hpp"
+#include "core/query_formulas.hpp"
+#include "core/query_index.hpp"
 #include "core/serialize.hpp"
+#include "dominance/mergesort_tree.hpp"
+#include "dominance/prefix_oracle.hpp"
+#include "dominance/wavelet_tree.hpp"
 #include "engine/protocol.hpp"
 #include "lcs/dp.hpp"
 #include "oracles.hpp"
@@ -105,22 +110,37 @@ TEST(Fuzz, QuadrantQueriesOnRandomKernels) {
     const Index n = rng.uniform(1, 40);
     const auto a = uniform_sequence(m, 4, rng.engine()());
     const auto b = uniform_sequence(n, 4, rng.engine()());
-    auto kernel = semi_local_kernel(a, b);
-    if (rng.bernoulli(0.33)) kernel.enable_dense_queries();
-    else if (rng.bernoulli(0.5)) kernel.enable_wavelet_queries();
+    const auto kernel = semi_local_kernel(a, b);
+    const QueryIndex index(kernel);
+    // The footnote-1 dominance structures answer through the same formulas
+    // as independent oracles; all three must agree on every count.
+    const DensePrefixOracle dense(kernel.permutation());
+    const WaveletTree wavelet(kernel.permutation());
+    const MergesortTree tree(kernel.permutation());
+    const auto oracle = [&](const HQuery& q) {
+      const Index sigma = dense.count(q.i, q.j);
+      EXPECT_EQ(wavelet.count(q.i, q.j), sigma);
+      EXPECT_EQ(tree.count(q.i, q.j), sigma);
+      return h_from_sigma(m, q.i, q.j, sigma) - q.correction;
+    };
     const SequenceView va{a};
     const SequenceView vb{b};
     for (int q = 0; q < 20; ++q) {
       const Index j0 = rng.uniform(0, n);
       const Index j1 = rng.uniform(j0, n);
-      EXPECT_EQ(kernel.string_substring(j0, j1),
-                testing::lcs_oracle(va, vb.subspan(static_cast<std::size_t>(j0),
-                                                   static_cast<std::size_t>(j1 - j0))));
+      const Index window =
+          testing::lcs_oracle(va, vb.subspan(static_cast<std::size_t>(j0),
+                                             static_cast<std::size_t>(j1 - j0)));
+      EXPECT_EQ(kernel.string_substring(j0, j1), window);
+      EXPECT_EQ(index.string_substring(j0, j1), window);
+      EXPECT_EQ(oracle(string_substring_query(m, n, j0, j1)), window);
       const Index k = rng.uniform(0, m);
       const Index l = rng.uniform(0, n);
-      EXPECT_EQ(kernel.prefix_suffix(k, l),
-                testing::lcs_oracle(va.subspan(0, static_cast<std::size_t>(k)),
-                                    vb.subspan(static_cast<std::size_t>(l))));
+      const Index overlap = testing::lcs_oracle(va.subspan(0, static_cast<std::size_t>(k)),
+                                                vb.subspan(static_cast<std::size_t>(l)));
+      EXPECT_EQ(kernel.prefix_suffix(k, l), overlap);
+      EXPECT_EQ(index.prefix_suffix(k, l), overlap);
+      EXPECT_EQ(oracle(prefix_suffix_query(m, n, k, l)), overlap);
     }
   }
 }

@@ -5,6 +5,10 @@
 #include <tuple>
 
 #include "core/iterative_combing.hpp"
+#include "core/query_formulas.hpp"
+#include "core/query_index.hpp"
+#include "dominance/mergesort_tree.hpp"
+#include "dominance/prefix_oracle.hpp"
 #include "oracles.hpp"
 #include "util/random.hpp"
 
@@ -44,15 +48,21 @@ TEST(Kernel, HQueryMatchesMaterializedMatrix) {
   }
 }
 
+// The member scan and the QueryIndex against the footnote-1 dominance
+// structures used directly as oracles: every H(i, j) must agree.
 TEST(Kernel, DenseQueriesAgreeWithTreeQueries) {
   const auto a = testing::random_string(20, 4, 7);
   const auto b = testing::random_string(25, 4, 8);
-  auto lazy = comb_rowmajor(a, b);
-  auto dense = comb_rowmajor(a, b);
-  dense.enable_dense_queries();
-  for (Index i = 0; i <= lazy.order(); i += 3) {
-    for (Index j = 0; j <= lazy.order(); j += 2) {
-      EXPECT_EQ(lazy.h(i, j), dense.h(i, j));
+  const auto kernel = comb_rowmajor(a, b);
+  const QueryIndex index(kernel);
+  const DensePrefixOracle dense(kernel.permutation());
+  const MergesortTree tree(kernel.permutation());
+  for (Index i = 0; i <= kernel.order(); ++i) {
+    for (Index j = 0; j <= kernel.order(); ++j) {
+      const Index expected = h_from_sigma(kernel.m(), i, j, dense.count(i, j));
+      EXPECT_EQ(h_from_sigma(kernel.m(), i, j, tree.count(i, j)), expected);
+      EXPECT_EQ(kernel.h(i, j), expected) << "i=" << i << " j=" << j;
+      EXPECT_EQ(index.h(i, j), expected) << "i=" << i << " j=" << j;
     }
   }
 }

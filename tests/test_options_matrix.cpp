@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
+#include "core/query_formulas.hpp"
+#include "core/query_index.hpp"
+#include "dominance/mergesort_tree.hpp"
+#include "dominance/wavelet_tree.hpp"
 #include "lcs/dp.hpp"
 #include "oracles.hpp"
 #include "util/random.hpp"
@@ -65,18 +69,35 @@ TEST(OptionsMatrix, LoadBalancedWithCustomAntOptions) {
 TEST(OptionsMatrix, WaveletBackedQuadrantsAtScale) {
   const auto a = rounded_normal_sequence(2000, 1.0, 9);
   const auto b = rounded_normal_sequence(2600, 1.0, 10);
-  auto kernel = semi_local_kernel(a, b);
-  auto wavelet = semi_local_kernel(a, b);
-  wavelet.enable_wavelet_queries();
-  // Spot-check all four quadrants against the (mergesort-tree-backed) twin.
+  const auto kernel = semi_local_kernel(a, b);
+  const QueryIndex index(kernel);
+  const Index m = kernel.m();
+  const Index n = kernel.n();
+  // The pointer wavelet tree and the merge-sort tree, used directly as
+  // oracles for the member scan and the (flat-wavelet) QueryIndex.
+  const WaveletTree wavelet(kernel.permutation());
+  const MergesortTree tree(kernel.permutation());
+  const auto oracle = [&](const HQuery& q) {
+    const Index sigma = wavelet.count(q.i, q.j);
+    EXPECT_EQ(tree.count(q.i, q.j), sigma);
+    return h_from_sigma(m, q.i, q.j, sigma) - q.correction;
+  };
   for (Index step = 97; step < 2000; step += 501) {
-    EXPECT_EQ(wavelet.string_substring(step, step + 500),
-              kernel.string_substring(step, step + 500));
-    EXPECT_EQ(wavelet.substring_string(step / 2, step), kernel.substring_string(step / 2, step));
-    EXPECT_EQ(wavelet.prefix_suffix(step, step), kernel.prefix_suffix(step, step));
-    EXPECT_EQ(wavelet.suffix_prefix(step, step), kernel.suffix_prefix(step, step));
+    const Index ss = oracle(string_substring_query(m, n, step, step + 500));
+    EXPECT_EQ(kernel.string_substring(step, step + 500), ss);
+    EXPECT_EQ(index.string_substring(step, step + 500), ss);
+    const Index sub = oracle(substring_string_query(m, n, step / 2, step));
+    EXPECT_EQ(kernel.substring_string(step / 2, step), sub);
+    EXPECT_EQ(index.substring_string(step / 2, step), sub);
+    const Index ps = oracle(prefix_suffix_query(m, n, step, step));
+    EXPECT_EQ(kernel.prefix_suffix(step, step), ps);
+    EXPECT_EQ(index.prefix_suffix(step, step), ps);
+    const Index sp = oracle(suffix_prefix_query(m, n, step, step));
+    EXPECT_EQ(kernel.suffix_prefix(step, step), sp);
+    EXPECT_EQ(index.suffix_prefix(step, step), sp);
   }
-  EXPECT_EQ(wavelet.lcs(), lcs_score_dp(a, b));
+  EXPECT_EQ(index.lcs(), lcs_score_dp(a, b));
+  EXPECT_EQ(oracle(lcs_query(m, n)), lcs_score_dp(a, b));
 }
 
 TEST(OptionsMatrix, StrategyNamesAreStable) {

@@ -53,7 +53,7 @@ Index naive_cell(const Sequence& a, const Sequence& b, const PlotSpec& spec, Ind
                          a.begin() + static_cast<std::ptrdiff_t>(start + spec.window));
   const SemiLocalKernel strip = semi_local_kernel(strip_a, b);
   const Index j0 = spec.col_start(v);
-  return kernel_string_substring(strip, j0, j0 + spec.window);
+  return strip.string_substring(j0, j0 + spec.window);
 }
 
 /// Runs engine.alignment_plot and reassembles the stream into a dense grid

@@ -30,6 +30,7 @@
 #include "core/api.hpp"
 #include "core/query_formulas.hpp"
 #include "core/query_index.hpp"
+#include "dominance/mergesort_tree.hpp"
 #include "dominance/wavelet_tree.hpp"
 #include "engine/engine.hpp"
 #include "oracles.hpp"
@@ -143,10 +144,10 @@ TEST(FlatWaveletTree, ProjectedBytesMatchesResidentBytes) {
   }
 }
 
-// Satellite (a): the two public query APIs -- SemiLocalKernel's members and
-// the engine's kernel_* scans -- answer from one shared formula header;
-// QueryIndex is the third consumer. All three must agree everywhere, and
-// match the literal Definition 3.3 oracle.
+// The three query paths -- SemiLocalKernel's member scan, the engine's
+// scan leg (answer_query without the index) and QueryIndex -- answer from
+// one shared formula header. All three must agree everywhere, and match the
+// literal Definition 3.3 oracle.
 TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     const auto a = testing::random_string(14 + static_cast<Index>(trial) * 3, 3,
@@ -161,7 +162,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
 
     EXPECT_EQ(index.lcs(), testing::lcs_oracle(a, b));
     EXPECT_EQ(index.lcs(), kernel.lcs());
-    EXPECT_EQ(index.lcs(), kernel_lcs(kernel));
+    EXPECT_EQ(index.lcs(), answer_query(entry, QueryKind::kLcs, 0, 0, /*use_index=*/false));
 
     for (Index j0 = 0; j0 <= n; ++j0) {
       for (Index j1 = j0; j1 <= n; ++j1) {
@@ -170,7 +171,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
         ASSERT_EQ(index.string_substring(j0, j1), expected)
             << "trial=" << trial << " j0=" << j0 << " j1=" << j1;
         ASSERT_EQ(kernel.string_substring(j0, j1), expected);
-        ASSERT_EQ(kernel_string_substring(kernel, j0, j1), expected);
+        ASSERT_EQ(answer_query(entry, QueryKind::kStringSubstring, j0, j1, false), expected);
       }
     }
     for (Index i0 = 0; i0 <= m; ++i0) {
@@ -180,7 +181,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
         ASSERT_EQ(index.substring_string(i0, i1), expected)
             << "trial=" << trial << " i0=" << i0 << " i1=" << i1;
         ASSERT_EQ(kernel.substring_string(i0, i1), expected);
-        ASSERT_EQ(kernel_substring_string(kernel, i0, i1), expected);
+        ASSERT_EQ(answer_query(entry, QueryKind::kSubstringString, i0, i1, false), expected);
       }
     }
   }
@@ -297,20 +298,20 @@ TEST(QueryIndexHammer, ConcurrentLazyBuildAndQueries) {
   for (int q = 0; q < 64; ++q) {
     switch (rng.uniform(0, 2)) {
       case 0:
-        probes.push_back({QueryKind::kLcs, 0, 0, kernel_lcs(*kernel)});
+        probes.push_back({QueryKind::kLcs, 0, 0, kernel->lcs()});
         break;
       case 1: {
         const Index j0 = rng.uniform(0, n);
         const Index j1 = rng.uniform(j0, n);
         probes.push_back(
-            {QueryKind::kStringSubstring, j0, j1, kernel_string_substring(*kernel, j0, j1)});
+            {QueryKind::kStringSubstring, j0, j1, kernel->string_substring(j0, j1)});
         break;
       }
       default: {
         const Index i0 = rng.uniform(0, m);
         const Index i1 = rng.uniform(i0, m);
         probes.push_back(
-            {QueryKind::kSubstringString, i0, i1, kernel_substring_string(*kernel, i0, i1)});
+            {QueryKind::kSubstringString, i0, i1, kernel->substring_string(i0, i1)});
         break;
       }
     }
@@ -386,8 +387,9 @@ TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
 }
 
 // Hammer: one shared bare kernel queried through its public member API by
-// many threads at once, so the first h() calls race the lazy merge-sort tree
-// build. Every answer must match the stateless scan.
+// many threads at once. The kernel is a plain immutable value, so under
+// ThreadSanitizer this pins that no member query writes shared state. Every
+// answer must match the merge-sort tree and brute-force oracles.
 TEST(SharedKernelHammer, ConcurrentMemberQueriesOnFirstUse) {
   const auto a = testing::random_string(140, 4, 51);
   const auto b = testing::random_string(170, 4, 52);
@@ -398,16 +400,19 @@ TEST(SharedKernelHammer, ConcurrentMemberQueriesOnFirstUse) {
   struct Probe {
     Index i, j, h, j0, j1, substring;
   };
+  const MergesortTree tree(kernel.permutation());
   std::vector<Probe> probes;
   Rng rng(91);
   for (int q = 0; q < 64; ++q) {
     Probe p{};
     p.i = rng.uniform(0, m + n);
     p.j = rng.uniform(0, m + n);
-    p.h = kernel_h(kernel, p.i, p.j);
+    p.h = h_from_sigma(m, p.i, p.j, tree.count(p.i, p.j));
     p.j0 = rng.uniform(0, n);
     p.j1 = rng.uniform(p.j0, n);
-    p.substring = kernel_string_substring(kernel, p.j0, p.j1);
+    p.substring = testing::lcs_oracle(
+        a, SequenceView(b).subspan(static_cast<std::size_t>(p.j0),
+                                   static_cast<std::size_t>(p.j1 - p.j0)));
     probes.push_back(p);
   }
   const Index lcs = testing::lcs_oracle(a, b);

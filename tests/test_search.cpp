@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lcs/dp.hpp"
 #include "oracles.hpp"
 #include "search/dotplot.hpp"
@@ -68,6 +70,35 @@ TEST(MultiPattern, FindAllValidatesArguments) {
   const MultiPatternIndex index({uniform_sequence(10, 4, 1)}, uniform_sequence(50, 4, 2));
   EXPECT_THROW((void)index.find_all(0.5, 0), std::invalid_argument);
   EXPECT_THROW((void)index.find_all(1.5, 1), std::invalid_argument);
+}
+
+// m = 0 and n = 0: an empty pattern or an empty text builds a kernel (and a
+// QueryIndex) of order n, m or 0, and every query still answers.
+TEST(MultiPattern, EmptyPatternOrEmptyText) {
+  const auto text = uniform_sequence(30, 4, 8);
+  const auto pattern = uniform_sequence(5, 4, 9);
+  const MultiPatternIndex index({Sequence{}, pattern}, text, {}, /*parallel_build=*/false);
+  const auto best = index.best_matches(/*width_slack_pct=*/0);
+  ASSERT_EQ(best.size(), 2u);
+  EXPECT_EQ(best[0].score, 0);
+  EXPECT_EQ(best[0].end, best[0].start);
+  EXPECT_DOUBLE_EQ(best[0].identity, 0.0);
+  Index expected = 0;
+  for (std::size_t j0 = 0; j0 + 5 <= text.size(); ++j0) {
+    expected = std::max(expected,
+                        testing::lcs_oracle(pattern, SequenceView{text}.subspan(j0, 5)));
+  }
+  EXPECT_EQ(best[1].score, expected);
+  for (const PatternMatch& hit : index.find_all(0.0)) EXPECT_EQ(hit.pattern_id, 1);
+
+  const MultiPatternIndex empty_text({pattern, Sequence{}}, Sequence{}, {}, false);
+  EXPECT_EQ(empty_text.text_length(), 0);
+  for (const PatternMatch& match : empty_text.best_matches()) {
+    EXPECT_EQ(match.score, 0);
+    EXPECT_EQ(match.start, 0);
+    EXPECT_EQ(match.end, 0);
+  }
+  EXPECT_TRUE(empty_text.find_all(0.5).empty());
 }
 
 TEST(Dotplot, DiagonalStructureOnSelfComparison) {
