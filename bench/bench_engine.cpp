@@ -11,19 +11,21 @@
 //             duplicate in-flight requests must fold into one computation.
 //   warm_window_sweep
 //             a small warm pool with many substring windows per request
-//             (the batched-op shape), run twice: once through the shared
-//             QueryIndex and once forced onto the O(m+n) scan. The ratio of
-//             the two queries_per_s numbers is the serving-path win of the
-//             index; the counters prove the indexed run never fell back.
+//             (the batched-op shape), run twice: once through the engine
+//             (the shared QueryIndex) and once through the O(m+n) scan
+//             reference on the same engine entries. The ratio of the two
+//             queries_per_s numbers is the serving-path win of the index;
+//             the counters prove the indexed run never fell back.
 //   capacity_sweep
 //             the format-v3 capacity claim, measured: a disk-backed store
 //             with a FIXED cache budget serves a pool far larger than the
 //             decoded tier can hold, once with raw v2 kernels (every disk
 //             hit decoded and index-projected) and once with compressed v3
-//             (disk hits stay compressed-resident; only the hot subset is
-//             promoted). Reports resident pairs per GB and the warm p50/p99
-//             of a hot-heavy request stream for both legs, plus the derived
-//             capacity_ratio and p50_regression the check gate enforces.
+//             (the kLcs-only stream keeps every disk hit compressed-resident
+//             on its cached score; nothing is promoted). Reports resident
+//             pairs per GB and the warm p50/p99 of a hot-heavy request
+//             stream for both legs, plus the derived capacity_ratio and
+//             p50_regression the check gate enforces.
 //   frontend_sweep
 //             the serve frontends measured over real sockets: an in-process
 //             open-loop client (engine/open_loop.hpp) fires a fixed offered
@@ -157,8 +159,9 @@ MixResult run_mix(const std::string& name, int pairs, int requests, int client_t
 }
 
 /// Warm window-sweep: every request is a batch of `queries_per_request`
-/// mixed windows over one pair from a prewarmed pool. `use_index` selects
-/// the QueryIndex route; false forces the O(m+n) scan (the ablation leg).
+/// mixed windows over one pair from a prewarmed pool. `use_index` answers
+/// through the engine (the QueryIndex route); false runs the O(m+n) scan
+/// reference on the engine's entries (the ablation leg).
 MixResult run_window_sweep(const std::string& name, int pairs, int requests,
                            int client_threads, Index length, int queries_per_request,
                            bool use_index) {
@@ -171,7 +174,6 @@ MixResult run_window_sweep(const std::string& name, int pairs, int requests,
 
   const auto pool = make_pool(pairs, length, 4242);
   EngineOptions options;
-  options.index_queries = use_index;
   options.scheduler.workers = hardware_threads();
   ComparisonEngine engine(options);
 
@@ -202,11 +204,20 @@ MixResult run_window_sweep(const std::string& name, int pairs, int requests,
       }
     }
   }
+  // The scan leg bypasses the engine's answer path, so it counts here.
+  QueryCounters scan_counters;
+  const auto answer = [&](std::size_t p) {
+    if (use_index) {
+      (void)engine.answer_batch(pool[p].first, pool[p].second, batches[p]);
+      return;
+    }
+    std::vector<Index> values(batches[p].size());
+    answer_query_batch(*engine.entry(pool[p].first, pool[p].second), batches[p].data(),
+                       values.data(), values.size(), /*use_index=*/false, &scan_counters);
+  };
   // Prewarm: one untimed batch per pair computes its kernel and, on the
   // indexed leg, builds its QueryIndex (the first window query does).
-  for (std::size_t p = 0; p < pool.size(); ++p) {
-    (void)engine.answer_batch(pool[p].first, pool[p].second, batches[p]);
-  }
+  for (std::size_t p = 0; p < pool.size(); ++p) answer(p);
 
   // Median of several timed passes: one pass is ~tens of milliseconds, and
   // on a shared/virtualized machine a single pass can absorb a scheduling
@@ -227,7 +238,7 @@ MixResult run_window_sweep(const std::string& name, int pairs, int requests,
         for (int i = t; i < requests; i += client_threads) {
           const std::size_t p = static_cast<std::size_t>(i) % pool.size();
           Timer timer;
-          (void)engine.answer_batch(pool[p].first, pool[p].second, batches[p]);
+          answer(p);
           latencies.push_back(timer.milliseconds());
         }
       });
@@ -246,6 +257,7 @@ MixResult run_window_sweep(const std::string& name, int pairs, int requests,
   result.p99_ms = percentile(merged, 0.99);
   result.max_ms = merged.empty() ? 0.0 : merged.back();
   result.stats = engine.stats();
+  result.stats.queries.scanned += scan_counters.scanned.load();
   return result;
 }
 
@@ -295,10 +307,6 @@ CapacityLeg run_capacity_leg(const std::string& name, KernelFormat format,
   options.store.dir = dir.string();
   options.store.format = format;
   options.store.cache_bytes = cache_bytes;
-  // Half the budget may hold promoted (fully decoded + indexed) entries;
-  // the rest is for the compressed tail. The hot subset must fit decoded.
-  options.store.promoted_fraction = 0.5;
-  options.store.promote_after_hits = 2;
   options.scheduler.workers = hardware_threads();
   options.scheduler.max_queue = pool.size() * 2;
 
@@ -800,11 +808,10 @@ void write_capacity_leg(std::ofstream& out, const CapacityLeg& leg, bool last) {
       << ", \"disk_errors\": " << s.store.disk_errors
       << ", \"compressed_loads\": " << s.store.compressed_loads
       << ", \"promotions\": " << s.store.promotions
-      << ", \"blocks_decoded\": " << s.store.blocks_decoded + s.queries.blocks_decoded
+      << ", \"blocks_decoded\": " << s.store.blocks_decoded
       << ",\n     \"store_bytes_on_disk\": " << leg.bytes_on_disk
       << ", \"store_bytes_resident\": " << s.store.cache.bytes
       << ", \"compression_ratio\": " << leg.compression_ratio
-      << ", \"queries_compressed\": " << s.queries.compressed
       << ", \"queries_scanned\": " << s.queries.scanned
       << ", \"mmap_fallbacks\": " << s.store.mmap_fallbacks << "}"
       << (last ? "" : ",") << "\n";

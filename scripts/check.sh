@@ -37,8 +37,10 @@
 # the happy path ever fell back from mmap to whole-file reads
 # (mmap_fallbacks > 0 means the seam is broken on this platform), if any
 # frontend-sweep leg stalled a socket (a request answered by neither a frame
-# nor a close), or if the overload accounting disagreed between server and
-# client (shed_mismatch != 0).
+# nor a close), if the overload accounting disagreed between server and
+# client (shed_mismatch != 0), or if the format-v3 capacity claim no longer
+# holds (capacity_sweep capacity_ratio < 4: under one cache budget the
+# compressed store must keep >= 4x the pairs resident that raw v2 does).
 #
 # The shard label slice is re-run under ASan as well: the router leases
 # pooled connections across threads, discards them from hedge losers, and
@@ -172,6 +174,14 @@ if grep -Eq '"shed_mismatch": *-?[1-9]' build/release/results/bench_engine.json;
 fi
 if grep -Eq '"decode_errors": *[1-9]' build/release/results/bench_engine.json; then
   echo "error: frontend-sweep client failed to decode a response frame" >&2
+  exit 1
+fi
+# The format-v3 capacity claim (README, DESIGN §10), enforced: the same
+# cache budget keeps >= 4x more pairs resident compressed than decoded.
+capacity_ratio=$(grep -o '"capacity_ratio": *[0-9.]*' build/release/results/bench_engine.json \
+                 | head -n1 | grep -o '[0-9.]*$')
+if ! awk -v s="${capacity_ratio:-0}" 'BEGIN { exit !(s >= 4) }'; then
+  echo "error: capacity_sweep capacity_ratio=${capacity_ratio:-unset} < 4" >&2
   exit 1
 fi
 if grep -Eq '"wrong_answers": *[1-9]' build/release/results/bench_engine.json; then

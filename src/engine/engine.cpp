@@ -59,7 +59,8 @@ KernelPtr ComparisonEngine::kernel(SequenceView a, SequenceView b) {
 
 Index ComparisonEngine::answer(const CachedKernel& entry, QueryKind kind, Index x,
                                Index y) {
-  return answer_query(entry, kind, x, y, options_.index_queries, &counters_);
+  const CachedKernel& target = kind == QueryKind::kLcs ? entry : store_.promote(entry);
+  return answer_query(target, kind, x, y, /*use_index=*/true, &counters_);
 }
 
 Index ComparisonEngine::lcs(SequenceView a, SequenceView b) {
@@ -85,8 +86,9 @@ std::vector<Index> ComparisonEngine::answer_batch(
 std::vector<Index> ComparisonEngine::answer_batch(
     const CachedKernel& held, const std::vector<WindowQuery>& windows) {
   std::vector<Index> values(windows.size());
-  answer_query_batch(held, windows.data(), values.data(), windows.size(),
-                     options_.index_queries, &counters_);
+  if (windows.empty()) return values;
+  answer_query_batch(store_.promote(held), windows.data(), values.data(), windows.size(),
+                     /*use_index=*/true, &counters_);
   return values;
 }
 
@@ -172,9 +174,9 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
     const CachedKernelPtr strip = ahead.front().get();
     ahead.pop_front();
     top_up();
-    answer_plot_row(*strip, spec.col0, spec.step, spec.window, cols,
+    answer_plot_row(store_.promote(*strip), spec.col0, spec.step, spec.window, cols,
                     band.data() + static_cast<std::size_t>(band_fill) * cols,
-                    options_.plot_planner, options_.index_queries, &counters_);
+                    options_.plot_planner, &counters_);
     ++band_fill;
     if (band_fill == tile_rows || u + 1 == spec.rows) {
       if (!flush_band(band_row0, band_fill, band, u + 1 == spec.rows)) return;
@@ -223,11 +225,10 @@ std::string stats_json(const EngineStats& s) {
   field("compressed_bytes", s.store.cache.compressed_bytes);
   field("compressed_loads", s.store.compressed_loads);
   field("promotions", s.store.promotions);
-  field("blocks_decoded", s.store.blocks_decoded + s.queries.blocks_decoded);
+  field("blocks_decoded", s.store.blocks_decoded);
   field("mmap_fallbacks", s.store.mmap_fallbacks);
   field("queries_indexed", s.queries.indexed);
   field("queries_scanned", s.queries.scanned);
-  field("queries_compressed", s.queries.compressed);
   field("index_builds", s.queries.index_builds);
   field("plot_tiles", s.queries.plot_tiles);
   field("plot_windows", s.queries.plot_windows);
@@ -259,10 +260,6 @@ EngineStats ComparisonEngine::stats() const {
                      .scanned = counters_.scanned.load(std::memory_order_relaxed),
                      .index_builds =
                          counters_.index_builds.load(std::memory_order_relaxed),
-                     .compressed =
-                         counters_.compressed.load(std::memory_order_relaxed),
-                     .blocks_decoded =
-                         counters_.blocks_decoded.load(std::memory_order_relaxed),
                      .plot_tiles = counters_.plot_tiles.load(std::memory_order_relaxed),
                      .plot_windows =
                          counters_.plot_windows.load(std::memory_order_relaxed),

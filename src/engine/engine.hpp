@@ -9,7 +9,7 @@
 //   request --> content hash --> cache hit? ----------------> answer
 //                                  | miss
 //                                  v
-//                            disk hit? (load, promote) -----> answer
+//                            disk hit? (load) --------------> answer
 //                                  | miss
 //                                  v
 //                            scheduler (coalesce, one pair
@@ -19,12 +19,13 @@
 // store -- the engine stats counters make that auditable (computed stays at
 // the number of distinct pairs while requests grows).
 //
-// Every cached entry carries a shared immutable QueryIndex (built once, by
-// its first window query, then read lock-free; see engine/query.hpp), so on
-// the warm path queries cost O(log n) instead of the O(m + n) dominance
-// scan; a kLcs answers from the score the entry cached at construction and
-// needs no index at all. `index_queries = false` forces the scan path --
-// the ablation knob the benchmarks flip.
+// Each query kind has one answer path (engine/query.hpp). A kLcs answers
+// from the score the entry caches and needs no index at all. A window query
+// descends the entry's shared immutable QueryIndex (built once, by its first
+// window query, then read lock-free), so on the warm path it costs O(log n)
+// instead of the O(m + n) dominance scan. A compressed disk hit is promoted
+// (KernelStore::promote: decoded once, swapped into its cache slot) before
+// its first window query.
 #pragma once
 
 #include <atomic>
@@ -42,9 +43,6 @@ namespace semilocal {
 struct EngineOptions {
   KernelStoreOptions store;
   SchedulerOptions scheduler;
-  /// Route queries through each entry's QueryIndex (O(log n), built once).
-  /// false = always use the O(m + n) dominance scan.
-  bool index_queries = true;
   /// Alignment plots: share the wavelet descent across each grid row via the
   /// strided seam walk. false = lower every cell as an independent window
   /// query -- the ablation knob the plot bench flips.
@@ -120,19 +118,19 @@ class ComparisonEngine {
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
-  /// Query layer: answers off the (possibly cached) entry, routed through
-  /// the QueryIndex or the dominance scan per `index_queries`.
+  /// Query layer: answers off the (possibly cached) entry -- kLcs from its
+  /// cached score, windows through its QueryIndex.
   Index lcs(SequenceView a, SequenceView b);
   Index string_substring(SequenceView a, SequenceView b, Index j0, Index j1);
   Index substring_string(SequenceView a, SequenceView b, Index i0, Index i1);
 
   /// One window off an already-acquired entry (serving fast path: acquire
-  /// once, answer many). Routing and counters as above.
+  /// once, answer many). A window query promotes a compressed entry first.
   Index answer(const CachedKernel& entry, QueryKind kind, Index x, Index y);
 
-  /// k windows over one pair: acquires the entry once, answers all windows
-  /// through the interleaved batch descent (or the scan loop when indexing
-  /// is off). This backs the batched protocol op.
+  /// k windows over one pair: acquires the entry once (promoting a
+  /// compressed one), answers all windows through the interleaved batch
+  /// descent. This backs the batched protocol op.
   std::vector<Index> answer_batch(SequenceView a, SequenceView b,
                                   const std::vector<WindowQuery>& windows);
 
@@ -156,9 +154,6 @@ class ComparisonEngine {
                       bool drain_inline = false);
 
   [[nodiscard]] EngineStats stats() const;
-
-  /// Whether window queries route through the QueryIndex (EngineOptions).
-  [[nodiscard]] bool index_queries() const { return options_.index_queries; }
 
   /// Runs queued work on the calling thread (see KernelScheduler::drain).
   std::size_t drain() { return scheduler_.drain(); }

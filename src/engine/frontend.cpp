@@ -24,6 +24,10 @@
 namespace semilocal {
 namespace {
 
+/// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
+/// scheduler's own backpressure hint is forwarded verbatim).
+constexpr Index kAdmissionRetryMs = 10;
+
 /// Atomic twins of FrontendStats, written from the event loop and the pumps,
 /// read by any stats() caller.
 struct Counters {
@@ -383,7 +387,7 @@ struct FrontendServer::Impl {
   void shed(int fd) {
     counters.shed.fetch_add(1, std::memory_order_relaxed);
     const std::string bytes =
-        frame(overloaded_response(options.admission_retry_ms, "connection limit reached"));
+        frame(overloaded_response(kAdmissionRetryMs, "connection limit reached"));
     // Best effort: a fresh socket's send buffer always holds one small frame.
     (void)env->fd_write(fd, bytes.data(), bytes.size(), "conn:shed");
     ::close(fd);
@@ -509,7 +513,7 @@ struct FrontendServer::Impl {
       admission = service->admit(std::move(request), has_budget);
     }
     if (admission.kind == Admission::Kind::kRefused) {
-      push_response(conn, overloaded_response(options.admission_retry_ms,
+      push_response(conn, overloaded_response(kAdmissionRetryMs,
                                               "per-connection in-flight limit"));
       return;
     }

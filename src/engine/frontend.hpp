@@ -71,9 +71,6 @@ struct FrontendOptions {
   /// How long stop() waits for in-flight requests to answer and flush
   /// before hard-closing the stragglers.
   std::uint64_t drain_timeout_ms = 2'000;
-  /// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
-  /// scheduler's own backpressure hint is forwarded verbatim).
-  Index admission_retry_ms = 10;
   /// Threads that run deferred work: cold computes, first index builds,
   /// upserts, plot streams, handler calls. Warm (cache-hit) requests are
   /// answered inline on the event loop and never touch a pump.

@@ -8,6 +8,13 @@
 #include "core/serialize.hpp"
 
 namespace semilocal {
+namespace {
+
+/// Bound on entries tracked for persist retry; beyond it a failed write is
+/// counted but the entry is immediately cache-only (no retry).
+constexpr std::size_t kMaxPendingPersists = 256;
+
+}  // namespace
 
 KernelStore::KernelStore(KernelStoreOptions options)
     : options_(std::move(options)),
@@ -70,40 +77,23 @@ void KernelStore::quarantine(const std::string& path) {
 }
 
 CachedKernelPtr KernelStore::find(const PairKey& key) {
-  CachedKernelPtr hot;
   {
     std::lock_guard lock(mutex_);
-    if (CachedKernelPtr hit = cache_.get(key)) {
-      if (!hit->is_compressed() || options_.promote_after_hits < 0) return hit;
-      if (static_cast<int>(hit->touch()) < options_.promote_after_hits) {
-        return hit;
-      }
-      // Hot enough to promote -- but only while the decoded tier has
-      // headroom; a denied candidate keeps serving compressed (and will be
-      // re-considered on its next hit).
-      const std::size_t full = decoded_entry_bytes(hit->order());
-      const auto cap = static_cast<std::size_t>(
-          options_.promoted_fraction * static_cast<double>(options_.cache_bytes));
-      if (cache_.decoded_bytes() + full > cap) return hit;
-      hot = std::move(hit);
-    }
+    if (CachedKernelPtr hit = cache_.get(key)) return hit;
   }
-  if (hot) return promote(key, hot);
   if (options_.dir.empty()) return nullptr;
   return load_from_disk(key);
 }
 
-CachedKernelPtr KernelStore::promote(const PairKey& key,
-                                     const CachedKernelPtr& entry) {
-  // The full decode runs outside the lock (concurrent promoters of one key
-  // are idempotent: last put wins, both produce the same kernel). The
-  // compressed entry's lazy decode does the work and keeps serving in-flight
-  // readers; the cache slot is then recharged at the decoded size.
-  auto promoted = std::make_shared<const CachedKernel>(entry->kernel_ptr());
+const CachedKernel& KernelStore::promote(const CachedKernel& entry) {
+  if (!entry.is_compressed()) return entry;
+  // The decode runs outside the lock, once per entry. The swap is made only
+  // while the slot still holds this entry, so an entry promotes at most once
+  // and an evicted one is not re-inserted.
+  const CachedKernelPtr& successor = entry.decoded();
   std::lock_guard lock(mutex_);
-  ++promotions_;
-  cache_.put(key, promoted);
-  return promoted;
+  if (cache_.replace(entry.key(), &entry, successor)) ++promotions_;
+  return *successor;
 }
 
 CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
@@ -112,14 +102,12 @@ CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
   MappedFilePtr map;
   std::string owned;
   std::string_view bytes;
-  if (options_.mmap_reads) {
-    try {
-      map = env_->map_file(path);
-      bytes = map->view();
-    } catch (const EnvError&) {
-      std::lock_guard lock(mutex_);
-      ++mmap_fallbacks_;
-    }
+  try {
+    map = env_->map_file(path);
+    bytes = map->view();
+  } catch (const EnvError&) {
+    std::lock_guard lock(mutex_);
+    ++mmap_fallbacks_;
   }
   if (!map) {
     try {
@@ -149,7 +137,7 @@ CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
       if (blob->m() != key.len_a || blob->n() != key.len_b) {
         throw std::runtime_error("kernel dimensions do not match the key");
       }
-      entry = std::make_shared<const CachedKernel>(std::move(blob), blocks_decoded_);
+      entry = std::make_shared<const CachedKernel>(key, std::move(blob), blocks_decoded_);
       compressed = true;
     } else {
       auto loaded = std::make_shared<const SemiLocalKernel>(load_kernel_bytes(bytes));
@@ -221,7 +209,7 @@ void KernelStore::put(const PairKey& key, CachedKernelPtr entry) {
     it->second.entry = std::move(entry);  // keep the freshest pointer
     return;
   }
-  if (pending_.size() >= options_.max_pending_persists) return;
+  if (pending_.size() >= kMaxPendingPersists) return;
   pending_.emplace(key,
                    PendingPersist{std::move(entry), options_.persist_retries});
 }

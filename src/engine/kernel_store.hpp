@@ -3,17 +3,16 @@
 // A store is a directory of content-addressed kernel files
 // (`<pair-key-hex>.slk`, the core/serialize formats; v3 block-compressed by
 // default) fronted by a byte-budgeted LRU cache with two residency tiers.
-// Lookups probe the cache first, then the directory -- by default through a
-// read-only mmap (falling back to a whole-file read if the map fails). A v3
-// disk hit enters the cache *compressed-resident*, charged its compressed
-// bytes, and serves queries by streaming blocks; once it takes
-// promote_after_hits cache hits (and the decoded tier has headroom under
-// promoted_fraction) the store promotes it to a fully-decoded kernel +
-// index, charged in full. The budget therefore measures real memory, and a
-// cold tail costs a fraction of what decoded kernels would -- several times
-// more pairs stay resident per byte. Writes go through a temp-file + rename
-// so a crashed or killed writer never leaves a torn kernel behind for a
-// reader to choke on.
+// Lookups probe the cache first, then the directory through a read-only
+// mmap (falling back to a whole-file read if the map fails). A v3 disk hit
+// enters the cache *compressed-resident*, charged its compressed bytes; it
+// answers kLcs from a score it computes once, and stays compressed until its
+// first window query, which promotes it: promote() decodes it once and
+// swaps the decoded successor into its cache slot, charged in full. The
+// budget therefore measures real memory, and a kLcs-only tail costs a
+// fraction of what decoded kernels would -- several times more pairs stay
+// resident per byte. Writes go through a temp-file + rename so a crashed or
+// killed writer never leaves a torn kernel behind for a reader to choke on.
 //
 // All filesystem access goes through the injected Env (engine/env.hpp), and
 // the store is built to *degrade, never fail* when that Env misbehaves:
@@ -63,23 +62,9 @@ struct KernelStoreOptions {
   /// On-disk encoding for persisted kernels. Loads always auto-detect, so
   /// stores written under either format keep reading.
   KernelFormat format = KernelFormat::kV3Compressed;
-  /// Serve disk reads through Env::map_file (zero-copy for v3); a failed
-  /// map falls back to read_file and bumps mmap_fallbacks.
-  bool mmap_reads = true;
-  /// Cache hits a compressed-resident entry takes before the store promotes
-  /// it to a fully-decoded kernel (+index). < 0 disables promotion; 0
-  /// promotes on the first cache hit after the disk load.
-  int promote_after_hits = 2;
-  /// Cap on the decoded tier as a fraction of cache_bytes: promotion is
-  /// denied (the entry keeps serving compressed) while decoded bytes plus
-  /// the candidate would exceed it. 1.0 = the whole budget may decode.
-  double promoted_fraction = 1.0;
   /// Re-attempts a failed persist gets (via retry_pending()) before the
   /// entry is abandoned as cache-only.
   int persist_retries = 3;
-  /// Bound on entries tracked for persist retry; beyond it a failed write
-  /// is counted but the entry is immediately cache-only (no retry).
-  std::size_t max_pending_persists = 256;
   /// Filesystem the store runs on. nullptr = real_env().
   Env* env = nullptr;
 };
@@ -96,7 +81,7 @@ struct KernelStoreStats {
   std::uint64_t mmap_fallbacks = 0;   ///< map_file failures served via read_file
   std::uint64_t compressed_loads = 0; ///< disk hits kept compressed-resident
   std::uint64_t promotions = 0;       ///< compressed entries decoded + recharged
-  std::uint64_t blocks_decoded = 0;   ///< v3 blocks decoded on store paths
+  std::uint64_t blocks_decoded = 0;   ///< v3 blocks read by scores and decodes
   std::size_t bytes_on_disk = 0;      ///< sum of persisted kernel file sizes
   std::size_t bytes_on_disk_raw = 0;  ///< what v2-raw would have used
 
@@ -119,11 +104,18 @@ class KernelStore {
 
   /// Cache, then disk. nullptr if the pair is in neither tier (including
   /// every disk failure mode: those degrade to a miss, never throw). v3
-  /// disk hits come back compressed-resident (promoted to decoded entries
-  /// once hot; see KernelStoreOptions); v2 hits come back decoded with no
-  /// query index yet -- the index is rebuilt lazily on first query (it is
-  /// never persisted).
+  /// disk hits come back compressed-resident; v2 hits come back decoded
+  /// with no query index yet -- the index is rebuilt lazily on first query
+  /// (it is never persisted).
   CachedKernelPtr find(const PairKey& key);
+
+  /// The entry a window query runs on: `entry` itself if decoded; for a
+  /// compressed entry, its decoded successor (CachedKernel::decoded(), one
+  /// decode however many threads ask), swapped into the entry's cache slot
+  /// and charged decoded_entry_bytes -- once, while the slot still holds
+  /// the entry. promotions counts those swaps. The result lives as long as
+  /// `entry`.
+  const CachedKernel& promote(const CachedKernel& entry);
 
   /// Inserts into the cache and (if configured) persists the kernel to disk
   /// (the entry's query index, if any, stays in memory only). A persist
@@ -165,9 +157,6 @@ class KernelStore {
   /// compressed-resident entry for v3 files, a decoded one for v2. nullptr
   /// on any failure (counted, corrupt files quarantined).
   CachedKernelPtr load_from_disk(const PairKey& key);
-  /// Decodes a hot compressed entry and replaces it in the cache with a
-  /// decoded-tier entry (charged in full).
-  CachedKernelPtr promote(const PairKey& key, const CachedKernelPtr& entry);
 
   KernelStoreOptions options_;
   Env* env_;

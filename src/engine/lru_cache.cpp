@@ -1,5 +1,7 @@
 #include "engine/lru_cache.hpp"
 
+#include "core/query_formulas.hpp"
+
 namespace semilocal {
 
 std::size_t kernel_resident_bytes(Index order) {
@@ -9,6 +11,12 @@ std::size_t kernel_resident_bytes(Index order) {
 
 std::size_t decoded_entry_bytes(Index order) {
   return kernel_resident_bytes(order) + QueryIndex::projected_bytes(order);
+}
+
+Index CachedKernel::compressed_lcs() const {
+  const HQuery q = lcs_query(blob_->m(), blob_->n());
+  const Index sigma = blob_->sigma(q.i, q.j, decoded_blocks_.get());
+  return h_from_sigma(blob_->m(), q.i, q.j, sigma) - q.correction;
 }
 
 CachedKernelPtr LruKernelCache::get(const PairKey& key) {
@@ -48,6 +56,14 @@ void LruKernelCache::put(const PairKey& key, CachedKernelPtr entry) {
     ++compressed_entries_;
   }
   evict_to_budget();
+}
+
+bool LruKernelCache::replace(const PairKey& key, const CachedKernel* current,
+                             CachedKernelPtr successor) {
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second->value.get() != current) return false;
+  put(key, std::move(successor));
+  return true;
 }
 
 void LruKernelCache::evict_to_budget() {

@@ -5,10 +5,12 @@
 // in-flight queries keep theirs, so neither the kernel nor its index is ever
 // freed under a reader. Capacity is a byte budget, not an entry count --
 // kernels scale with m + n, and a serving cache mixing 1 kb and 1 Mb kernels
-// needs to account for that. An entry is charged for its index *up front*
-// (projected from the kernel order) whether or not the index is built yet,
-// so the accounting never changes underneath the LRU. Counters
-// (hits / misses / evictions) feed the engine stats endpoint.
+// needs to account for that. A decoded entry is charged for its index *up
+// front* (projected from the kernel order) whether or not the index is built
+// yet, so its charge never changes underneath the LRU; a compressed entry is
+// charged its encoded bytes until the store replaces it with its decoded
+// successor (put on the same key). Counters (hits / misses / evictions)
+// feed the engine stats endpoint.
 //
 // Not internally synchronized: the owner (KernelStore) serializes access.
 #pragma once
@@ -35,10 +37,14 @@ using KernelPtr = std::shared_ptr<const SemiLocalKernel>;
 /// CachedKernel).
 std::size_t kernel_resident_bytes(Index order);
 
-/// Projected cache charge of a *decoded* entry of this order: kernel plus
-/// its (projected) query index. What a compressed entry would cost after
-/// promotion -- the store's promotion-headroom check uses this.
+/// Cache charge of a *decoded* entry of this order: kernel plus its
+/// (projected) query index. What a compressed entry costs once a window
+/// query promotes it.
 std::size_t decoded_entry_bytes(Index order);
+
+class CachedKernel;
+/// Shared ownership handle the engine hands out for cached entries.
+using CachedKernelPtr = std::shared_ptr<const CachedKernel>;
 
 /// A cached kernel in one of two residency tiers.
 ///
@@ -50,13 +56,13 @@ std::size_t decoded_entry_bytes(Index order);
 /// is std::call_once's fast path.
 ///
 /// Compressed tier (disk hits under format v3): the entry holds only the
-/// validated CompressedKernel and is charged its compressed bytes, so the
-/// LRU budget measures real memory and holds several times more pairs.
-/// Queries stream individual blocks (engine/query.cpp routes them);
-/// kernel() / index() still work -- they decode the whole kernel once, on
-/// demand -- so explicit-API callers never see the tier. The cache charge
-/// deliberately stays at the compressed size until the store *promotes* the
-/// entry (replaces it with a decoded one) under its promotion policy.
+/// validated CompressedKernel and its PairKey, and is charged its compressed
+/// bytes, so the LRU budget measures real memory and holds several times
+/// more pairs. Its score is one sigma over the blocks, computed on the first
+/// lcs() and cached. Anything that needs the whole kernel -- kernel(),
+/// index(), a window query -- goes through decoded(): the entry's decoded
+/// successor, built once. The store swaps that successor into the entry's
+/// cache slot (KernelStore::promote), after which it is charged in full.
 ///
 /// Immutable from the readers' point of view, so one entry may serve any
 /// number of connection threads concurrently.
@@ -64,41 +70,59 @@ class CachedKernel {
  public:
   explicit CachedKernel(KernelPtr kernel)
       : kernel_(std::move(kernel)), lcs_(kernel_->lcs()) {}
-  /// Compressed-resident entry. `decoded_blocks` (optional, shared so it
-  /// survives the store) is bumped per block if a full decode happens.
-  explicit CachedKernel(
-      CompressedKernelPtr blob,
-      std::shared_ptr<std::atomic<std::uint64_t>> decoded_blocks = nullptr)
-      : blob_(std::move(blob)), decoded_blocks_(std::move(decoded_blocks)) {}
+  /// Compressed-resident entry of `key`. `decoded_blocks` (optional, shared
+  /// so it survives the store) is bumped per block the score or the decode
+  /// reads.
+  CachedKernel(const PairKey& key, CompressedKernelPtr blob,
+               std::shared_ptr<std::atomic<std::uint64_t>> decoded_blocks = nullptr)
+      : blob_(std::move(blob)), key_(key), decoded_blocks_(std::move(decoded_blocks)) {}
   CachedKernel(const CachedKernel&) = delete;
   CachedKernel& operator=(const CachedKernel&) = delete;
 
   [[nodiscard]] bool is_compressed() const { return blob_ != nullptr; }
-  /// The compressed form, nullptr for decoded-tier entries.
-  [[nodiscard]] const CompressedKernel* compressed() const { return blob_.get(); }
+  /// The pair a compressed entry was loaded for (empty for decoded entries).
+  [[nodiscard]] const PairKey& key() const { return key_; }
 
   /// Dimensions without forcing a decode.
   [[nodiscard]] Index m() const { return blob_ ? blob_->m() : kernel_->m(); }
   [[nodiscard]] Index n() const { return blob_ ? blob_->n() : kernel_->n(); }
   [[nodiscard]] Index order() const { return m() + n(); }
 
-  /// LCS(a, b) of a decoded-tier entry, cached at construction; -1 for a
-  /// compressed entry (its queries stream blocks instead).
-  [[nodiscard]] Index lcs() const { return lcs_; }
+  /// LCS(a, b). Cached at construction for a decoded entry; a compressed
+  /// entry streams its blocks once, on the first call (thread-safe).
+  [[nodiscard]] Index lcs() const {
+    if (blob_) std::call_once(lcs_once_, [this] { lcs_ = compressed_lcs(); });
+    return lcs_;
+  }
 
-  /// The decoded kernel; for a compressed entry this decodes all blocks
-  /// exactly once (thread-safe) and keeps the result for the entry's
-  /// lifetime. The cache charge is not revisited -- promotion is the store's
-  /// job.
-  [[nodiscard]] const SemiLocalKernel& kernel() const { return *ensure_kernel(); }
-  [[nodiscard]] const KernelPtr& kernel_ptr() const { return ensure_kernel(); }
+  /// The decoded successor of a compressed entry: all blocks decoded into a
+  /// decoded-tier entry exactly once (thread-safe; concurrent callers block
+  /// until the one decode finishes). nullptr for a decoded entry.
+  const CachedKernelPtr& decoded() const {
+    if (blob_) {
+      std::call_once(decode_once_, [this] {
+        decoded_ = std::make_shared<const CachedKernel>(std::make_shared<const SemiLocalKernel>(
+            blob_->decode(decoded_blocks_.get())));
+        decoded_ready_.store(decoded_.get(), std::memory_order_release);
+      });
+    }
+    return decoded_;
+  }
+
+  /// The decoded kernel (a compressed entry's successor's).
+  [[nodiscard]] const SemiLocalKernel& kernel() const { return *kernel_ptr(); }
+  [[nodiscard]] const KernelPtr& kernel_ptr() const {
+    return blob_ ? decoded()->kernel_ptr() : kernel_;
+  }
 
   /// The query index, building it if this is the first call (thread-safe;
   /// concurrent callers block until the one build finishes). `builds`
-  /// (optional) is incremented iff this call performed the build.
+  /// (optional) is incremented iff this call performed the build. A
+  /// compressed entry's index is its successor's.
   const QueryIndex& index(std::atomic<std::uint64_t>* builds = nullptr) const {
+    if (blob_) return decoded()->index(builds);
     std::call_once(index_once_, [this, builds] {
-      index_ = std::make_unique<const QueryIndex>(kernel());
+      index_ = std::make_unique<const QueryIndex>(*kernel_);
       // Count before publishing: whoever sees the index also sees the count.
       if (builds) builds->fetch_add(1, std::memory_order_relaxed);
       index_ready_.store(index_.get(), std::memory_order_release);
@@ -108,13 +132,11 @@ class CachedKernel {
 
   /// Lock-free peek: the index if already built, nullptr otherwise.
   [[nodiscard]] const QueryIndex* index_if_built() const {
+    if (blob_) {
+      const CachedKernel* successor = decoded_ready_.load(std::memory_order_acquire);
+      return successor ? successor->index_if_built() : nullptr;
+    }
     return index_ready_.load(std::memory_order_acquire);
-  }
-
-  /// Cache-hit counter feeding the store's promotion threshold. Returns the
-  /// new count.
-  std::uint32_t touch() const {
-    return find_hits_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
   /// Bytes this entry pins in the cache: compressed bytes for the
@@ -125,29 +147,21 @@ class CachedKernel {
   }
 
  private:
-  const KernelPtr& ensure_kernel() const {
-    if (blob_) {
-      std::call_once(kernel_once_, [this] {
-        kernel_ = std::make_shared<const SemiLocalKernel>(
-            blob_->decode(decoded_blocks_ ? decoded_blocks_.get() : nullptr));
-      });
-    }
-    return kernel_;
-  }
+  [[nodiscard]] Index compressed_lcs() const;
 
+  KernelPtr kernel_;
   CompressedKernelPtr blob_;
+  PairKey key_;
   std::shared_ptr<std::atomic<std::uint64_t>> decoded_blocks_;
-  mutable std::once_flag kernel_once_;
-  mutable KernelPtr kernel_;
-  Index lcs_ = -1;  // after kernel_: initialised from it
-  mutable std::atomic<std::uint32_t> find_hits_{0};
+  mutable std::once_flag lcs_once_;
+  mutable Index lcs_ = -1;  // after kernel_: initialised from it
+  mutable std::once_flag decode_once_;
+  mutable CachedKernelPtr decoded_;
+  mutable std::atomic<const CachedKernel*> decoded_ready_{nullptr};
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<const QueryIndex> index_;
   mutable std::atomic<const QueryIndex*> index_ready_{nullptr};
 };
-
-/// Shared ownership handle the engine hands out for cached entries.
-using CachedKernelPtr = std::shared_ptr<const CachedKernel>;
 
 /// Counters exposed through EngineStats.
 struct LruCacheStats {
@@ -174,13 +188,11 @@ class LruKernelCache {
   /// is not cached at all.
   void put(const PairKey& key, CachedKernelPtr entry);
 
-  [[nodiscard]] LruCacheStats stats() const;
+  /// put(key, successor) iff the slot of `key` still holds `current`: the
+  /// one swap that promotes a compressed entry. Returns whether it swapped.
+  bool replace(const PairKey& key, const CachedKernel* current, CachedKernelPtr successor);
 
-  /// Bytes held by decoded-tier entries; the store's promotion budget is a
-  /// cap on this.
-  [[nodiscard]] std::size_t decoded_bytes() const {
-    return bytes_ - compressed_bytes_;
-  }
+  [[nodiscard]] LruCacheStats stats() const;
 
  private:
   struct Entry {

@@ -97,11 +97,12 @@ Admission EngineService::admit(Request&& request, bool has_budget) {
   if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
     // Warm: answer now. Queries off a cached entry are O(log n) descents --
     // microseconds. A pair's first window query must build its QueryIndex
-    // first, though, and that build is deferred like a cold compute.
+    // first, though (and decode a compressed entry), and that build is
+    // deferred like a cold compute.
     bool builds_index = false;
     Response now = guarded([&] {
       const CachedKernel& entry = *future.get();
-      builds_index = query_builds_index(entry, engine_.index_queries(), request.op != Op::kLcs);
+      builds_index = query_builds_index(entry, request.op != Op::kLcs);
       return builds_index ? Response{} : answer(engine_, entry, request);
     });
     if (!builds_index) return Admission::answer(std::move(now));

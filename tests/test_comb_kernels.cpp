@@ -7,23 +7,22 @@
 // serial sweep's row bands and the 16-bit symbol codes the u16 kernels read
 // must leave every kernel equal to the row-major oracle.
 //
-// This translation unit also replaces global operator new/delete with
-// counting versions, which lets the allocation-hygiene tests assert that a
-// warm Workspace serves repeated kernel computations with no steady-state
-// scratch allocation (only the returned kernel objects allocate).
+// This binary also links tests/alloc_counter.cpp, which replaces global
+// operator new/delete with counting versions. That lets the
+// allocation-hygiene tests assert that a warm Workspace serves repeated
+// kernel computations with no steady-state scratch allocation (only the
+// returned kernel objects allocate).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
-#include <new>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/api.hpp"
 #include "core/comb_kernels.hpp"
 #include "core/iterative_combing.hpp"
@@ -31,25 +30,6 @@
 #include "oracles.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocator hook. Linked into this test binary only.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace semilocal {
 namespace {
@@ -391,9 +371,9 @@ TEST(SymbolCodes, DistinctSymbolsUpToTheSixteenBitBound) {
 // ---------------------------------------------------------------------------
 
 std::size_t allocations_during(const std::function<void()>& fn) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = testing::allocation_count();
   fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return testing::allocation_count() - before;
 }
 
 TEST(CombKernels, WarmWorkspaceDoesZeroScratchAllocation) {

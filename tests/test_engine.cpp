@@ -127,73 +127,127 @@ TEST(KernelStore, DiskTierSurvivesProcessRestart) {
   EXPECT_EQ(store.stats().disk_hits, 1u);
 }
 
-TEST(KernelStore, DiskHitsComeBackCompressedAndPromoteWhenHot) {
-  ScratchDir dir("store_tiers");
+/// Persists the kernel of (a, b) into `dir` in the store's default (v3)
+/// format, so a fresh store over `dir` finds it as a compressed disk hit.
+void persist_v3(const std::string& dir, const Sequence& a, const Sequence& b) {
+  KernelStoreOptions options;
+  options.dir = dir;
+  KernelStore warm(options);
+  warm.put(make_pair_key(a, b),
+           std::make_shared<const CachedKernel>(
+               std::make_shared<const SemiLocalKernel>(semi_local_kernel(a, b))));
+}
+
+TEST(KernelStore, CompressedDiskHitComputesItsScoreOnce) {
+  ScratchDir dir("store_score_once");
   const auto a = testing::random_string(600, 4, 3);
   const auto b = testing::random_string(640, 4, 4);
   const PairKey key = make_pair_key(a, b);
+  persist_v3(dir.str(), a, b);
   KernelStoreOptions options;
   options.dir = dir.str();
-  options.promote_after_hits = 2;
-  {
-    KernelStore warm(options);
-    warm.put(key, std::make_shared<const CachedKernel>(
-                      std::make_shared<const SemiLocalKernel>(semi_local_kernel(a, b))));
-  }
   KernelStore store(options);
-  const CachedKernelPtr loaded = store.find(key);
-  ASSERT_NE(loaded, nullptr);
   // The v3 disk hit lands compressed-resident, charged far below the
-  // decoded footprint, and still answers queries correctly by streaming.
-  EXPECT_TRUE(loaded->is_compressed());
-  EXPECT_EQ(store.stats().compressed_loads, 1u);
-  EXPECT_EQ(store.stats().cache.compressed_entries, 1u);
-  EXPECT_LT(store.stats().cache.compressed_bytes,
-            kernel_resident_bytes(loaded->order()) / 2);
-  QueryCounters counters;
-  EXPECT_EQ(answer_query(*loaded, QueryKind::kLcs, 0, 0, /*use_index=*/true,
-                         &counters),
-            testing::lcs_oracle(a, b));
-  EXPECT_EQ(counters.compressed.load(), 1u);
-  EXPECT_GT(counters.blocks_decoded.load(), 0u);
-  // Hits 1 and 2 keep serving compressed; hit 2 crosses the threshold and
-  // the entry is promoted to the decoded tier.
-  ASSERT_NE(store.find(key), nullptr);
-  EXPECT_EQ(store.stats().promotions, 0u);
-  const CachedKernelPtr hot = store.find(key);
-  ASSERT_NE(hot, nullptr);
-  EXPECT_FALSE(hot->is_compressed());
-  EXPECT_EQ(store.stats().promotions, 1u);
-  EXPECT_EQ(store.stats().cache.compressed_entries, 0u);
-  EXPECT_GE(store.stats().cache.bytes, kernel_resident_bytes(hot->order()));
-  EXPECT_GT(store.stats().blocks_decoded, 0u);  // the promotion's full decode
-  // Promoted answers match the compressed-path answers.
-  EXPECT_EQ(answer_query(*hot, QueryKind::kLcs, 0, 0, /*use_index=*/true),
-            testing::lcs_oracle(a, b));
-}
-
-TEST(KernelStore, PromotionRespectsDecodedTierHeadroom) {
-  ScratchDir dir("store_headroom");
-  const auto a = testing::random_string(600, 4, 5);
-  const auto b = testing::random_string(640, 4, 6);
-  const PairKey key = make_pair_key(a, b);
-  KernelStoreOptions options;
-  options.dir = dir.str();
-  options.promote_after_hits = 1;
-  options.promoted_fraction = 0.0;  // no decoded-tier budget at all
-  {
-    KernelStore warm(options);
-    warm.put(key, std::make_shared<const CachedKernel>(
-                      std::make_shared<const SemiLocalKernel>(semi_local_kernel(a, b))));
-  }
-  KernelStore store(options);
-  ASSERT_NE(store.find(key), nullptr);
-  for (int hit = 0; hit < 4; ++hit) {
+  // decoded footprint. Its first kLcs streams the blocks once; every later
+  // one reads the cached score, so blocks_decoded rises once, then stays.
+  std::uint64_t blocks_after_first = 0;
+  for (int call = 0; call < 10; ++call) {
     const CachedKernelPtr entry = store.find(key);
     ASSERT_NE(entry, nullptr);
-    EXPECT_TRUE(entry->is_compressed()) << "hit " << hit;
+    EXPECT_TRUE(entry->is_compressed()) << "call " << call;
+    EXPECT_EQ(answer_query(*entry, QueryKind::kLcs, 0, 0, /*use_index=*/true),
+              testing::lcs_oracle(a, b))
+        << "call " << call;
+    if (call == 0) {
+      blocks_after_first = store.stats().blocks_decoded;
+      EXPECT_GT(blocks_after_first, 0u);
+    }
+    EXPECT_EQ(store.stats().blocks_decoded, blocks_after_first) << "call " << call;
   }
-  EXPECT_EQ(store.stats().promotions, 0u);
+  const KernelStoreStats stats = store.stats();
+  EXPECT_EQ(stats.compressed_loads, 1u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.cache.compressed_entries, 1u);
+  EXPECT_LT(stats.cache.compressed_bytes, kernel_resident_bytes(600 + 640) / 2);
+}
+
+TEST(KernelStore, FirstWindowQueryPromotesACompressedEntryOnce) {
+  ScratchDir dir("store_promote");
+  const auto a = testing::random_string(300, 4, 5);
+  const auto b = testing::random_string(340, 4, 6);
+  persist_v3(dir.str(), a, b);
+  EngineOptions options;
+  options.store.dir = dir.str();
+  options.scheduler.workers = 0;
+  ComparisonEngine engine(options);
+  const CachedKernelPtr entry = engine.entry(a, b);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->is_compressed());
+  EXPECT_EQ(engine.stats().store.cache.compressed_entries, 1u);
+
+  // kLcs leaves the entry compressed.
+  EXPECT_EQ(engine.answer(*entry, QueryKind::kLcs, 0, 0), testing::lcs_oracle(a, b));
+  EXPECT_EQ(engine.stats().store.promotions, 0u);
+  EXPECT_EQ(engine.stats().store.cache.compressed_entries, 1u);
+
+  // Every window answer equals the scan reference; the first one promotes.
+  std::vector<WindowQuery> windows;
+  for (Index j0 = 0; j0 <= 340; j0 += 29) windows.push_back({QueryKind::kStringSubstring, j0, 340});
+  for (Index i1 = 300; i1 >= 0; i1 -= 31) windows.push_back({QueryKind::kSubstringString, 0, i1});
+  windows.push_back({QueryKind::kLcs, 0, 0});
+  for (const WindowQuery& w : windows) {
+    EXPECT_EQ(engine.answer(*entry, w.kind, w.x, w.y),
+              answer_query(*entry, w.kind, w.x, w.y, /*use_index=*/false));
+  }
+  const std::vector<Index> batch = engine.answer_batch(a, b, windows);
+  for (std::size_t t = 0; t < windows.size(); ++t) {
+    EXPECT_EQ(batch[t], answer_query(*entry, windows[t].kind, windows[t].x, windows[t].y,
+                                     /*use_index=*/false));
+  }
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.store.promotions, 1u);
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.store.cache.entries, 1u);
+  EXPECT_EQ(stats.store.cache.compressed_entries, 0u);
+  EXPECT_EQ(stats.store.cache.bytes, decoded_entry_bytes(entry->order()));
+  // The cache slot now holds the decoded successor, already indexed.
+  const CachedKernelPtr hot = engine.entry(a, b);
+  EXPECT_FALSE(hot->is_compressed());
+  EXPECT_NE(hot->index_if_built(), nullptr);
+}
+
+TEST(KernelStore, ConcurrentFirstWindowQueriesPromoteOnce) {
+  ScratchDir dir("store_promote_race");
+  const auto a = testing::random_string(400, 4, 7);
+  const auto b = testing::random_string(380, 4, 8);
+  persist_v3(dir.str(), a, b);
+  EngineOptions options;
+  options.store.dir = dir.str();
+  options.scheduler.workers = 0;
+  ComparisonEngine engine(options);
+  const CachedKernelPtr entry = engine.entry(a, b);
+  ASSERT_TRUE(entry->is_compressed());
+
+  constexpr int kThreads = 8;
+  std::atomic<int> at_gate{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> team;
+  for (int t = 0; t < kThreads; ++t) {
+    team.emplace_back([&, t] {
+      at_gate.fetch_add(1);
+      while (at_gate.load() < kThreads) std::this_thread::yield();
+      const Index j0 = 10 * t;
+      const Index got = engine.answer(*entry, QueryKind::kStringSubstring, j0, 380);
+      if (got != testing::lcs_oracle(a, Sequence(b.begin() + j0, b.end()))) ++wrong;
+    });
+  }
+  for (std::thread& t : team) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.store.promotions, 1u);
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.store.cache.compressed_entries, 0u);
 }
 
 TEST(KernelStore, RawFormatOptionKeepsEntriesDecoded) {

@@ -28,6 +28,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/api.hpp"
 #include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
@@ -35,6 +36,7 @@
 #include "engine/protocol.hpp"
 #include "engine/service.hpp"
 #include "oracles.hpp"
+#include "scratch.hpp"
 
 namespace semilocal {
 namespace {
@@ -340,6 +342,63 @@ TEST(Frontend, FirstWindowQueryBuildsTheIndexOnAPumpNotInline) {
     EXPECT_EQ(after.pump_answers, before.pump_answers + (round == 0 ? 1 : 0));
     EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
   }
+}
+
+TEST(Frontend, CompressedEntryAnswersLcsInlineAndPromotesOnAPump) {
+  // A v3 disk hit is compressed-resident. Its kLcs answers inline from the
+  // score it computes once; its first window query decodes and indexes it
+  // on a pump; the next window query answers inline off the promoted entry.
+  testing::ScratchDir dir("compressed_reactor");
+  const Sequence a = testing::random_string(300, 4, 8111);
+  const Sequence b = testing::random_string(340, 4, 8112);
+  {
+    KernelStoreOptions store;
+    store.dir = dir.str();
+    KernelStore warm(store);
+    warm.put(make_pair_key(a, b),
+             std::make_shared<const CachedKernel>(
+                 std::make_shared<const SemiLocalKernel>(semi_local_kernel(a, b))));
+  }
+  EngineOptions options = small_engine(1);
+  options.store.dir = dir.str();
+  Reactor reactor(std::move(options), quiet_frontend());
+  ASSERT_TRUE(reactor.engine.entry(a, b)->is_compressed());
+  Client client(reactor.port());
+  const auto request_for = [&](Op op, Index x = 0, Index y = 0) {
+    Request request;
+    request.op = op;
+    request.a = a;
+    request.b = b;
+    request.x = x;
+    request.y = y;
+    return request;
+  };
+
+  FrontendStats before = reactor.server.stats();
+  client.send(request_for(Op::kLcs));
+  auto response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->value, testing::lcs_oracle(a, b));
+  EXPECT_EQ(reactor.server.stats().inline_answers, before.inline_answers + 1);
+  EXPECT_EQ(reactor.engine.stats().store.promotions, 0u);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "first window query" : "second window query");
+    const Index j0 = 17 + 40 * round;
+    before = reactor.server.stats();
+    client.send(request_for(Op::kStringSubstring, j0, 340));
+    response = client.recv();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::kOk);
+    EXPECT_EQ(response->value, testing::lcs_oracle(a, Sequence(b.begin() + j0, b.end())));
+    const FrontendStats after = reactor.server.stats();
+    EXPECT_EQ(after.inline_answers, before.inline_answers + (round == 0 ? 0 : 1));
+    EXPECT_EQ(after.pump_answers, before.pump_answers + (round == 0 ? 1 : 0));
+  }
+  const EngineStats stats = reactor.engine.stats();
+  EXPECT_EQ(stats.store.promotions, 1u);
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.store.cache.compressed_entries, 0u);
 }
 
 TEST(Frontend, MaxConnectionsGateShedsWithOneRetryAfterFrame) {

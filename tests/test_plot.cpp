@@ -30,6 +30,7 @@
 #include "engine/protocol.hpp"
 #include "engine/service.hpp"
 #include "engine/shard/router.hpp"
+#include "scratch.hpp"
 #include "util/random.hpp"
 
 namespace semilocal {
@@ -195,6 +196,37 @@ TEST(AlignmentPlotEngine, UnprofitableStrideStillAnswersCorrectly) {
     }
   }
   EXPECT_EQ(engine.stats().queries.plot_reused_descents, 0u);
+}
+
+TEST(AlignmentPlotEngine, CompressedStripsPromoteOncePerRow) {
+  // A restarted engine finds every strip on disk, compressed. Each grid row
+  // promotes its strip once, on both the planner and the lowering path, and
+  // the cells match the first run's.
+  testing::ScratchDir dir("plot_compressed");
+  const Sequence a = random_seq(200, 61);
+  const Sequence b = random_seq(180, 62);
+  PlotSpec spec;
+  spec.rows = 6;
+  spec.cols = 8;
+  spec.step = 5;
+  spec.window = 20;
+  EngineOptions options = plot_engine(true);
+  options.store.dir = dir.str();
+  std::vector<Index> first;
+  {
+    ComparisonEngine cold(options);
+    first = collect_plot(cold, a, b, spec);
+  }
+  for (const bool planner : {true, false}) {
+    SCOPED_TRACE(planner ? "planner" : "per-window lowering");
+    options.plot_planner = planner;
+    ComparisonEngine restarted(options);
+    EXPECT_EQ(collect_plot(restarted, a, b, spec), first);
+    const EngineStats stats = restarted.stats();
+    EXPECT_EQ(stats.store.compressed_loads, static_cast<std::uint64_t>(spec.rows));
+    EXPECT_EQ(stats.store.promotions, static_cast<std::uint64_t>(spec.rows));
+    EXPECT_EQ(stats.store.cache.compressed_entries, 0u);
+  }
 }
 
 TEST(AlignmentPlotEngine, Quant8ScalesScoresIntoBytes) {

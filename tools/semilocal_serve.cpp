@@ -17,6 +17,10 @@
 //       engine/frontend.hpp). SIGINT/SIGTERM drain gracefully: in-flight
 //       requests answer and flush before the process exits.
 //
+// kLcs answers from the score each cached pair keeps. Window queries descend
+// the pair's QueryIndex, built once -- by its first window query, off the
+// event loop -- after a compressed disk hit is decoded into the cache.
+//
 // Engine options:
 //   --store DIR      kernel store directory (default: in-memory only)
 //   --cache-mb N     LRU cache budget (default 64)
@@ -25,10 +29,6 @@
 //                    queued pair at a time
 //   --algorithm X    combing strategy (see semilocal_cli)
 //   --no-persist     do not write computed kernels to the store
-//   --no-index       answer window queries via the O(m+n) scan and never
-//                    build a QueryIndex (ablation / debugging). By default
-//                    each pair's index is built once, by its first window
-//                    query, off the event loop; kLcs never needs one.
 //   --dna            pack request bytes as DNA (match CLI precompute keys)
 //   --corpus-dir DIR versioned incremental corpus root; enables Op::kUpsert
 //                    (without it upserts answer kError). Chunked braids are
@@ -67,8 +67,8 @@ namespace {
 int usage() {
   std::cerr << "usage: semilocal_serve (--stdio | --port P) [--store DIR] [--cache-mb N]\n"
                "                       [--workers N] [--queue N]\n"
-               "                       [--algorithm NAME] [--no-persist] [--no-index]\n"
-               "                       [--dna] [--backlog N] [--max-conns N]\n"
+               "                       [--algorithm NAME] [--no-persist] [--dna]\n"
+               "                       [--backlog N] [--max-conns N]\n"
                "                       [--max-inflight N] [--write-cap-kb N]\n"
                "                       [--idle-timeout-ms N] [--read-timeout-ms N]\n"
                "                       [--drain-timeout-ms N] [--pumps N]\n"
@@ -106,7 +106,7 @@ void install_signal_handlers() {
 int main(int argc, char** argv) {
   try {
     const CliArgs args = CliArgs::parse(
-        argc, argv, 1, {"stdio", "no-persist", "no-index", "dna"});
+        argc, argv, 1, {"stdio", "no-persist", "dna"});
     const bool stdio = args.has_flag("stdio");
     const auto port = args.option("port");
     if (stdio == port.has_value()) return usage();  // exactly one mode
@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.int_option_or("queue", 256));
     options.scheduler.compute.strategy =
         parse_strategy(args.option_or("algorithm", "antidiag"));
-    options.index_queries = !args.has_flag("no-index");
 
     const bool dna = args.has_flag("dna");
     const bool inline_compute = options.scheduler.workers == 0;
