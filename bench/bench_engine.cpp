@@ -935,13 +935,15 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 // against a fresh semi_local_kernel.
 //
 // Two pinned document lengths, because the crossover is the honest story:
-// a fresh SIMD-comb kernel is O(mn) with a tiny constant (~0.15 ns/cell)
-// while a steady-ant compose is O(N log N) with a large one (~16 ns/step),
-// so at 8000x8000 a full recompute costs ~11 ms against a ~4 ms compose
-// floor and the incremental path wins only ~2x. At 32000 the quadratic
-// term dominates (~160 ms) and the append path's one-strip-one-compose
-// update is >= 5x cheaper -- that larger point carries the check gate; the
-// 8000 point is reported so the constant-factor regime stays visible.
+// a fresh SIMD-comb kernel is O(mn) with a tiny constant (~0.07 ns/cell on
+// 16-bit strands, ~0.2 on 32-bit) while a steady-ant compose is O(N log N)
+// with a large one (~16 ns/step), so at 8000x8000 a full recompute
+// (~6.5-8 ms) costs about as much as the chunked append (~6-7 ms) and the
+// incremental path reads ~0.9-1.1x. At 32000 the quadratic term dominates
+// (~175-250 ms, on 32-bit strands once appends push m + n past 2^16) and
+// the append path's one-strip-one-compose update is ~8x cheaper -- that
+// larger point carries the check gate (>= 5x); the 8000 point is reported
+// so the constant-factor regime stays visible.
 struct UpsertLeg {
   std::string name;
   Index doc_length = 0;     // starting document length (appends grow past it)

@@ -40,9 +40,10 @@ void comb_cells_scalar(const CombSymbol<StrandT>* __restrict a_rev,
 #if SEMILOCAL_X86
 
 // ---------------------------------------------------------------------------
-// AVX-512 tier: masked vpminu/vpmaxu + mask blends, exactly the paper's
-// Section 6 sketch. Tails use masked loads/stores, so there is no scalar
-// remainder loop at all. u16 needs AVX512BW (vpminuw/vpmaxuw on zmm).
+// AVX-512 tier: vpminu/vpmaxu under a symbol-compare mask, the paper's
+// Section 6 sketch -- merge-masked for u16, min/max plus mask blends for
+// u32. Tails use masked loads/stores, so there is no scalar remainder loop
+// at all. u16 needs AVX512BW (vpminuw/vpmaxuw on zmm).
 // ---------------------------------------------------------------------------
 
 // GCC 12 reports the maskz-load intrinsics' internal zero vector as
@@ -97,19 +98,20 @@ void comb_cells_avx512_u32(const Symbol* __restrict a_rev, const Symbol* __restr
 }
 
 // One full-width (32-cell) unmasked step of the u16 kernel: 16-bit symbol
-// codes, so one 32-lane compare yields the whole match mask.
+// codes, so one 32-lane compare yields the whole mismatch mask. The update is
+// merge-masked: a mismatch lane sorts the pair (min to h, max to v), a match
+// lane takes the other strand from the merge source -- one compare, one min
+// and one max per 32 cells, no blends.
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline
 void avx512_u16_step(const std::uint16_t* __restrict a_rev,
                      const std::uint16_t* __restrict b,
                      std::uint16_t* __restrict h, std::uint16_t* __restrict v) {
-  const __mmask32 match =
-      _mm512_cmpeq_epi16_mask(_mm512_loadu_si512(a_rev), _mm512_loadu_si512(b));
+  const __mmask32 miss =
+      _mm512_cmpneq_epi16_mask(_mm512_loadu_si512(a_rev), _mm512_loadu_si512(b));
   const __m512i hs = _mm512_loadu_si512(h);
   const __m512i vs = _mm512_loadu_si512(v);
-  const __m512i mn = _mm512_min_epu16(hs, vs);
-  const __m512i mx = _mm512_max_epu16(hs, vs);
-  _mm512_storeu_si512(h, _mm512_mask_blend_epi16(match, mn, vs));
-  _mm512_storeu_si512(v, _mm512_mask_blend_epi16(match, mx, hs));
+  _mm512_storeu_si512(h, _mm512_mask_min_epu16(vs, miss, hs, vs));
+  _mm512_storeu_si512(v, _mm512_mask_max_epu16(hs, miss, hs, vs));
 }
 
 __attribute__((target("avx512f,avx512bw")))
@@ -130,13 +132,11 @@ void comb_cells_avx512_u16(const std::uint16_t* __restrict a_rev,
     const __mmask32 lane = static_cast<__mmask32>((1ull << (len - j)) - 1);
     const __m512i sa = _mm512_maskz_loadu_epi16(lane, a_rev + j);
     const __m512i sb = _mm512_maskz_loadu_epi16(lane, b + j);
-    const __mmask32 match = _mm512_mask_cmpeq_epi16_mask(lane, sa, sb);
+    const __mmask32 miss = _mm512_mask_cmpneq_epi16_mask(lane, sa, sb);
     const __m512i hs = _mm512_maskz_loadu_epi16(lane, h + j);
     const __m512i vs = _mm512_maskz_loadu_epi16(lane, v + j);
-    const __m512i mn = _mm512_min_epu16(hs, vs);
-    const __m512i mx = _mm512_max_epu16(hs, vs);
-    _mm512_mask_storeu_epi16(h + j, lane, _mm512_mask_blend_epi16(match, mn, vs));
-    _mm512_mask_storeu_epi16(v + j, lane, _mm512_mask_blend_epi16(match, mx, hs));
+    _mm512_mask_storeu_epi16(h + j, lane, _mm512_mask_min_epu16(vs, miss, hs, vs));
+    _mm512_mask_storeu_epi16(v + j, lane, _mm512_mask_max_epu16(hs, miss, hs, vs));
   }
 }
 

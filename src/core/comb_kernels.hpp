@@ -8,15 +8,21 @@
 //   h'[j] = match ? v[j] : min(h[j], v[j]);
 //   v'[j] = match ? h[j] : max(h[j], v[j]);
 //
-// which is exactly pairwise unsigned min/max plus a masked blend -- the
-// paper's Section 6 AVX-512 suggestion. This header exposes a portable
-// scalar kernel (the autovectorized bitwise-select loop, i.e. the paper's
-// semi_antidiag_SIMD inner loop), hand-written AVX-512 kernels for both
-// strand widths (uint16_t and uint32_t), and a CPUID-based dispatcher
-// resolved once per process. A hand-written tier is kept only where
-// bench_micro shows it beating the scalar kernel: AVX2 kernels did not (on
-// an AVX2-only CPU the scalar kernel runs; built with -march=native it
-// autovectorises to AVX2 itself), AVX-512 does on both widths.
+// which is the paper's Section 6 AVX-512 suggestion. With miss = (a_rev !=
+// b), a merge-masked min writes min(h, v) into the miss lanes of a copy of v
+// (giving h') and a merge-masked max writes max(h, v) into the miss lanes of
+// a copy of h (giving v'): one compare, one min and one max per vector. The
+// AVX-512 u16 kernel is exactly that; the u32 kernel keeps the older
+// unmasked min/max plus two blends.
+//
+// This header exposes a portable scalar kernel (the autovectorized
+// bitwise-select loop, i.e. the paper's semi_antidiag_SIMD inner loop),
+// hand-written AVX-512 kernels for both strand widths (uint16_t and
+// uint32_t), and a CPUID-based dispatcher resolved once per process. A
+// hand-written tier is kept only where bench_micro shows it beating the
+// scalar kernel: AVX2 kernels did not (on an AVX2-only CPU the scalar kernel
+// runs; built with -march=native it autovectorises to AVX2 itself), AVX-512
+// does on both widths.
 //
 // 16-bit strands read 16-bit symbol codes (Workspace::codes), 32-bit strands
 // the raw 32-bit Symbols: the u16 working set per cell is then 8 bytes, and
@@ -41,7 +47,7 @@ namespace semilocal {
 enum class KernelIsa {
   kAuto,    ///< resolve via kernel_dispatch() (env override or best CPU tier)
   kScalar,  ///< portable branchless loop (compiler autovectorization only)
-  kAvx512,  ///< 512-bit masked vpminu/vpmaxu + mask blends (needs BW for u16)
+  kAvx512,  ///< 512-bit vpminu/vpmaxu: merge-masked (u16, needs BW), blended (u32)
 };
 
 /// The symbol representation the kernels for one strand width read: 16-bit

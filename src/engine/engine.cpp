@@ -53,10 +53,6 @@ CachedKernelPtr ComparisonEngine::entry(SequenceView a, SequenceView b) {
   return entry_async(a, b).get();
 }
 
-KernelPtr ComparisonEngine::kernel(SequenceView a, SequenceView b) {
-  return entry(a, b)->kernel_ptr();
-}
-
 Index ComparisonEngine::answer(const CachedKernel& entry, QueryKind kind, Index x,
                                Index y) {
   const CachedKernel& target = kind == QueryKind::kLcs ? entry : store_.promote(entry);

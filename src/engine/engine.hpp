@@ -115,9 +115,6 @@ class ComparisonEngine {
                                                         SequenceView a,
                                                         SequenceView b);
 
-  /// The bare kernel of (a, b). Same acquisition path as entry().
-  KernelPtr kernel(SequenceView a, SequenceView b);
-
   /// Query layer: answers off the (possibly cached) entry -- kLcs from its
   /// cached score, windows through its QueryIndex.
   Index lcs(SequenceView a, SequenceView b);

@@ -27,6 +27,7 @@
 #include "core/comb_kernels.hpp"
 #include "core/iterative_combing.hpp"
 #include "core/workspace.hpp"
+#include "lcs/bitparallel.hpp"
 #include "oracles.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -86,6 +87,35 @@ TEST(CombKernels, RawKernelsMatchScalarOverLengthsAndSeeds) {
   }
 }
 
+// The two inputs where every lane of the u16 update takes one arm: all cells
+// match (every pair swaps) or none does (every pair sorts), at every tail
+// length of the 64-cell main loop.
+TEST(CombKernels, RawU16MatchesScalarOnAllMatchAndNoMatchInputs) {
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<std::uint32_t> strand(0, 0xFFFF);
+  for (Index len = 0; len <= 130; ++len) {
+    const auto size = static_cast<std::size_t>(len);
+    std::vector<std::uint16_t> h(size), v(size);
+    for (auto& s : h) s = static_cast<std::uint16_t>(strand(rng));
+    for (auto& s : v) s = static_cast<std::uint16_t>(strand(rng));
+    for (const bool all_match : {true, false}) {
+      const std::vector<std::uint16_t> a(size, 5);
+      const std::vector<std::uint16_t> b(size, all_match ? 5 : 6);
+      std::vector<std::uint16_t> h_ref = h, v_ref = v;
+      kernel_table(KernelIsa::kScalar).u16(a.data(), b.data(), h_ref.data(), v_ref.data(),
+                                           len);
+      for (const KernelIsa isa : supported_isas()) {
+        std::vector<std::uint16_t> h_got = h, v_got = v;
+        kernel_table(isa).u16(a.data(), b.data(), h_got.data(), v_got.data(), len);
+        EXPECT_EQ(h_got, h_ref) << "isa=" << static_cast<int>(isa) << " len=" << len
+                                << " all_match=" << all_match;
+        EXPECT_EQ(v_got, v_ref) << "isa=" << static_cast<int>(isa) << " len=" << len
+                                << " all_match=" << all_match;
+      }
+    }
+  }
+}
+
 TEST(CombKernels, DispatchReportsASupportedTier) {
   const CombKernelTable& t = kernel_dispatch();
   EXPECT_TRUE(kernel_isa_supported(t.isa));
@@ -120,6 +150,21 @@ TEST(CombKernels, EndToEndEveryIsaMatchesRowMajor) {
         }
       }
     }
+  }
+}
+
+// A pair of the serving benchmark's shape (8000 x 8000 DNA, several row
+// bands, 16-bit strands): every tier equals the row-major oracle, and the
+// kernel's score equals the bit-parallel LCS.
+TEST(CombKernels, DnaPairAt8000EveryIsaMatchesRowMajorAndBitParallel) {
+  const Sequence a = uniform_sequence(8000, 4, 61);
+  const Sequence b = uniform_sequence(8000, 4, 62);
+  const auto ref = comb_rowmajor(a, b);
+  const Index lcs = lcs_bitparallel_hyyro(a, b);
+  for (const KernelIsa isa : supported_isas()) {
+    const auto k = comb_antidiag(a, b, {.isa = isa});
+    EXPECT_EQ(k.permutation(), ref.permutation()) << "isa=" << static_cast<int>(isa);
+    EXPECT_EQ(k.lcs(), lcs) << "isa=" << static_cast<int>(isa);
   }
 }
 
