@@ -5,10 +5,10 @@
 // Besides the google-benchmark suite, main() writes a machine-readable
 // comb-kernel report to results/bench_micro.json: ns/cell for every
 // dispatchable kernel tier (scalar / AVX-512, both strand widths;
-// 16-bit strands on 16-bit symbol codes) plus single-call vs batched
-// semi-local throughput, the serial sweep of an 8000^2 grid banded vs
-// unbanded, and the pair-key digest's ns/symbol and GB/s at 1k and 16k
-// symbols. Run with `--benchmark_filter=NONE` to emit only the JSON report.
+// 16-bit strands on 16-bit symbol codes) plus the serial sweep of an
+// 8000^2 grid banded vs unbanded, and the pair-key digest's ns/symbol and
+// GB/s at 1k and 16k symbols. Run with `--benchmark_filter=NONE` to emit
+// only the JSON report.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -300,28 +300,6 @@ void write_kernel_report(const std::string& path) {
                     kernel_ns_per_cell(t.u32)});
   }
 
-  // Single-call vs batched semi-local throughput over a pool of pairs.
-  constexpr int kPairs = 16;
-  constexpr Index kLen = 2000;
-  std::vector<Sequence> storage;
-  std::vector<SequencePair> pairs;
-  for (int i = 0; i < kPairs; ++i) {
-    storage.push_back(rounded_normal_sequence(kLen, 1.0, 10 + i));
-    storage.push_back(rounded_normal_sequence(kLen, 1.0, 100 + i));
-  }
-  for (std::size_t i = 0; i < storage.size(); i += 2) {
-    pairs.push_back({storage[i], storage[i + 1]});
-  }
-  std::vector<Index> scores(pairs.size());
-  const double per_call_s = median_run_seconds([&] {
-    for (const auto& [a, b] : pairs) {
-      benchmark::DoNotOptimize(lcs_semilocal(a, b, {}));
-    }
-  });
-  const double batched_s = median_run_seconds([&] {
-    lcs_semilocal_batch(pairs, scores, {.parallel = true});
-  });
-
   // The serial sweep on a whole 8000^2 grid (16-bit strands on codes):
   // comb_antidiag at the library's band height against one unbanded sweep.
   constexpr Index kGrid = 8000;
@@ -368,10 +346,6 @@ void write_kernel_report(const std::string& path) {
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"batch\": {\"pairs\": " << kPairs << ", \"pair_length\": " << kLen
-      << ", \"per_call_pairs_per_s\": " << kPairs / per_call_s
-      << ", \"batched_pairs_per_s\": " << kPairs / batched_s
-      << ", \"batched_speedup\": " << per_call_s / batched_s << "},\n";
   out << "  \"sweep\": {\"grid\": \"" << kGrid << "x" << kGrid
       << "\", \"unbanded_ns_per_cell\": " << unbanded_ns
       << ", \"antidiag_ns_per_cell\": " << banded_ns << "},\n";

@@ -66,6 +66,12 @@
 # cheaper than the full-recombination ablation, with zero oracle mismatches
 # across every leg's final published kernel.
 #
+# The precompute smoke drives semilocal_cli end to end on a generated
+# 16-record corpus: a second precompute over the same store must compute
+# nothing and republish a byte-identical index.tsv, and a store query
+# (`query --ids`) must answer exactly what the same query answers on a
+# `compare --save-kernel` dump of that pair.
+#
 # The serve gate then stands up the real semilocal_serve reactor and fires
 # the open-loop loadgen at it: 10000 concurrent sockets at 5000 req/s, which
 # must finish with zero stalled sockets (loadgen exits nonzero otherwise),
@@ -228,6 +234,36 @@ upsert_speedup=$(grep -o '"upsert_speedup": *[0-9.]*' build/release/results/benc
                  | head -n1 | grep -o '[0-9.]*$')
 if ! awk -v s="${upsert_speedup:-0}" 'BEGIN { exit !(s >= 5) }'; then
   echo "error: upsert_sweep upsert_speedup=${upsert_speedup:-unset} < 5" >&2
+  exit 1
+fi
+
+echo "==> precompute smoke: resume, byte-identical index, store query = kernel dump"
+cmake --build --preset release -j "$jobs" --target semilocal_cli >/dev/null
+cli=build/release/tools/semilocal_cli
+smoke=build/release/precompute_smoke
+rm -rf "$smoke"
+mkdir -p "$smoke"
+for s in $(seq 1 16); do
+  "$cli" generate --length 4000 --seed "$s" | sed "s/^>.*/>rec$s/" >> "$smoke/corpus.fa"
+done
+"$cli" precompute "$smoke/corpus.fa" --store "$smoke/store" | tee "$smoke/first.txt"
+cp "$smoke/store/index.tsv" "$smoke/index.first.tsv"
+"$cli" precompute "$smoke/corpus.fa" --store "$smoke/store" | tee "$smoke/second.txt"
+if ! grep -q ' 0 kernels computed' "$smoke/second.txt"; then
+  echo "error: a precompute re-run recomputed kernels instead of resuming" >&2
+  exit 1
+fi
+if ! cmp -s "$smoke/index.first.tsv" "$smoke/store/index.tsv"; then
+  echo "error: a precompute re-run changed index.tsv" >&2
+  exit 1
+fi
+awk '/^>/ { keep = ($0 == ">rec3") } keep' "$smoke/corpus.fa" > "$smoke/rec3.fa"
+awk '/^>/ { keep = ($0 == ">rec7") } keep' "$smoke/corpus.fa" > "$smoke/rec7.fa"
+"$cli" compare "$smoke/rec3.fa" "$smoke/rec7.fa" --save-kernel "$smoke/pair.slk" >/dev/null
+from_store=$("$cli" query "$smoke/store" string-substring 100 2500 --ids rec3,rec7)
+from_dump=$("$cli" query "$smoke/pair.slk" string-substring 100 2500)
+if [[ -z "$from_store" || "$from_store" != "$from_dump" ]]; then
+  echo "error: store query answered '$from_store', kernel dump '$from_dump'" >&2
   exit 1
 fi
 

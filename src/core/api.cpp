@@ -1,9 +1,6 @@
 #include "core/api.hpp"
 
-#include <cstdint>
 #include <stdexcept>
-
-#include "core/workspace.hpp"
 
 namespace semilocal {
 
@@ -66,53 +63,6 @@ SemiLocalKernel semi_local_kernel(SequenceView a, SequenceView b,
 
 Index lcs_semilocal(SequenceView a, SequenceView b, const SemiLocalOptions& opts) {
   return semi_local_kernel(a, b, opts).lcs();
-}
-
-namespace {
-
-// Pairs are the parallel unit inside a batch; per-pair combing runs serially.
-SemiLocalOptions per_pair_options(const SemiLocalOptions& opts) {
-  SemiLocalOptions per = opts;
-  per.parallel = false;
-  return per;
-}
-
-// Runs `job(i)` for every pair index, inside one parallel region when asked.
-template <typename Job>
-void for_each_pair(std::size_t count, bool parallel, const Job& job) {
-  const auto total = static_cast<std::int64_t>(count);
-  if (parallel) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t i = 0; i < total; ++i) job(i);
-  } else {
-    for (std::int64_t i = 0; i < total; ++i) job(i);
-  }
-}
-
-}  // namespace
-
-std::vector<SemiLocalKernel> semi_local_kernel_batch(std::span<const SequencePair> pairs,
-                                                     const SemiLocalOptions& opts) {
-  std::vector<SemiLocalKernel> out(pairs.size());
-  const SemiLocalOptions per = per_pair_options(opts);
-  for_each_pair(pairs.size(), opts.parallel, [&](std::int64_t i) {
-    const auto& [a, b] = pairs[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i)] = semi_local_kernel(a, b, per, &tls_workspace());
-  });
-  return out;
-}
-
-void lcs_semilocal_batch(std::span<const SequencePair> pairs, std::span<Index> out,
-                         const SemiLocalOptions& opts) {
-  if (out.size() != pairs.size()) {
-    throw std::invalid_argument("lcs_semilocal_batch: out.size() != pairs.size()");
-  }
-  const SemiLocalOptions per = per_pair_options(opts);
-  for_each_pair(pairs.size(), opts.parallel, [&](std::int64_t i) {
-    const auto& [a, b] = pairs[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i)] =
-        semi_local_kernel(a, b, per, &tls_workspace()).lcs();
-  });
 }
 
 }  // namespace semilocal

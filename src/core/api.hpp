@@ -3,7 +3,6 @@
 // users call; the per-algorithm headers remain available for fine control.
 #pragma once
 
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -56,29 +55,5 @@ SemiLocalKernel semi_local_kernel(SequenceView a, SequenceView b,
 
 /// Global LCS score via the semi-local kernel.
 Index lcs_semilocal(SequenceView a, SequenceView b, const SemiLocalOptions& opts = {});
-
-/// One comparison job of a batch.
-struct SequencePair {
-  SequenceView a;
-  SequenceView b;
-};
-
-/// Computes the kernels of many pairs in one call. With opts.parallel, the
-/// pairs (not the cells) are the parallel unit: the whole batch runs inside
-/// a single OpenMP parallel region -- one thread-team spin-up for the whole
-/// batch -- and every thread combs its pairs serially with its persistent
-/// per-thread workspace, so a warm serving loop does zero steady-state
-/// scratch allocation. Per-pair strategy options are honoured except
-/// `parallel`, which is forced off inside the region.
-std::vector<SemiLocalKernel> semi_local_kernel_batch(
-    std::span<const SequencePair> pairs, const SemiLocalOptions& opts = {});
-
-/// Batched global LCS scores: out[i] = LCS(pairs[i].a, pairs[i].b), with the
-/// same execution model as semi_local_kernel_batch. Scores are read straight
-/// off the kernel permutation (no dominance structure is built), so the only
-/// steady-state allocations are the transient per-pair kernels. `out` must
-/// have pairs.size() entries.
-void lcs_semilocal_batch(std::span<const SequencePair> pairs, std::span<Index> out,
-                         const SemiLocalOptions& opts = {});
 
 }  // namespace semilocal

@@ -51,17 +51,6 @@ std::shared_future<CachedKernelPtr> ready_future(CachedKernelPtr entry) {
 
 }  // namespace
 
-bool valid_document_id(const std::string& id) {
-  if (id.empty() || id.size() > 128) return false;
-  for (const char c : id) {
-    const auto u = static_cast<unsigned char>(c);
-    // Printable, non-space ASCII only: ids land in whitespace-separated
-    // index.tsv columns and in document filenames.
-    if (u <= ' ' || u > '~' || c == '/' || c == '\\') return false;
-  }
-  return true;
-}
-
 std::string UpsertReport::json() const {
   std::ostringstream out;
   out << "{\"id\": \"" << id << "\", \"version\": " << version
@@ -93,43 +82,23 @@ std::string CorpusManager::doc_path(const std::string& id, Index version) const 
 void CorpusManager::load_from_dir() {
   const std::string path = index_path();
   if (!env_->exists(path)) return;
-  std::string data;
-  try {
-    data = env_->read_file(path);
-  } catch (const EnvError& e) {
-    throw std::runtime_error(std::string("corpus load: ") + e.what());
-  }
-  std::istringstream in(data);
-  std::string line;
-  while (std::getline(in, line)) {
-    constexpr std::string_view kGenTag = "#generation\t";
-    constexpr std::string_view kDocTag = "#doc\t";
-    if (line.rfind(kGenTag, 0) == 0) {
-      generation_ = std::stoull(line.substr(kGenTag.size()));
-      continue;
-    }
-    if (line.rfind(kDocTag, 0) != 0) continue;
-    std::istringstream fields(line.substr(kDocTag.size()));
-    std::string id;
-    Index version = 0;
-    std::size_t length = 0;
-    if (!(fields >> id >> version >> length) || !valid_document_id(id)) {
-      throw std::runtime_error("corpus load: malformed #doc line: " + line);
-    }
+  const CorpusIndex index = read_corpus_index(path, env_);
+  generation_ = index.generation;
+  for (const CorpusDocEntry& doc : index.docs) {
     std::string blob;
     try {
-      blob = env_->read_file(doc_path(id, version));
+      blob = env_->read_file(doc_path(doc.id, doc.version));
     } catch (const EnvError& e) {
       throw std::runtime_error(std::string("corpus load: ") + e.what());
     }
     Sequence bytes = decode_symbols(blob);
-    if (bytes.size() != length) {
-      throw std::runtime_error("corpus load: document " + id + " v" +
-                               std::to_string(version) + " has " +
+    if (static_cast<Index>(bytes.size()) != doc.length) {
+      throw std::runtime_error("corpus load: document " + doc.id + " v" +
+                               std::to_string(doc.version) + " has " +
                                std::to_string(bytes.size()) + " symbols, manifest says " +
-                               std::to_string(length));
+                               std::to_string(doc.length));
     }
-    docs_[id] = Doc{version, std::move(bytes)};
+    docs_[doc.id] = Doc{doc.version, std::move(bytes)};
   }
 }
 
@@ -150,16 +119,14 @@ std::vector<CorpusIndexEntry> CorpusManager::entries_locked() const {
   return out;
 }
 
-void CorpusManager::publish_locked(const std::vector<CorpusIndexEntry>& entries,
-                                   std::uint64_t generation) {
+void CorpusManager::publish_locked(std::uint64_t generation) {
   if (options_.dir.empty()) return;
-  std::string manifest;
+  CorpusIndex index{.generation = generation, .pairs = entries_locked()};
   for (const auto& [id, doc] : docs_) {
-    manifest += "#doc\t" + id + '\t' + std::to_string(doc.version) + '\t' +
-                std::to_string(doc.bytes.size()) + '\n';
+    index.docs.push_back({id, doc.version, static_cast<Index>(doc.bytes.size())});
   }
   try {
-    publish_corpus_index(index_path(), entries, generation, env_, manifest);
+    publish_corpus_index(index_path(), index, env_);
   } catch (const std::runtime_error& e) {
     throw CorpusPublishError(e.what());
   }
@@ -278,7 +245,6 @@ UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence byte
   const bool existed = it != docs_.end();
   const Doc previous = existed ? it->second : Doc{};
   docs_[id] = Doc{new_version, bytes};
-  const std::vector<CorpusIndexEntry> entries = entries_locked();
   const std::uint64_t new_generation = generation_ + 1;
   try {
     if (!options_.dir.empty()) {
@@ -298,7 +264,7 @@ UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence byte
     // Give any strip/prefix kernels that hit a transient persist fault one
     // more chance to land before the index references them.
     engine_.store().retry_pending();
-    publish_locked(entries, new_generation);
+    publish_locked(new_generation);
   } catch (...) {
     // The commit failed: disk still holds the previous generation, so roll
     // the in-memory state back to match it.
@@ -337,10 +303,9 @@ UpsertReport CorpusManager::remove_document(const std::string& id) {
   }
   const Doc removed = it->second;
   docs_.erase(it);
-  const std::vector<CorpusIndexEntry> entries = entries_locked();
   const std::uint64_t new_generation = generation_ + 1;
   try {
-    publish_locked(entries, new_generation);
+    publish_locked(new_generation);
   } catch (...) {
     docs_[id] = removed;
     throw;

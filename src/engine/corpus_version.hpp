@@ -18,10 +18,10 @@
 //     additive and content-addressed, an interrupted run leaves orphans,
 //     never torn state.
 //
-// Dirty-chunk computes go through the engine's batching scheduler
-// (entry_async), so concurrent upserts coalesce, batch per worker, and hit
-// the same bounded-queue backpressure (EngineOverloaded) as queries -- the
-// frontend's admission control covers upserts for free.
+// Dirty-chunk computes go through the engine's per-pair scheduler
+// (entry_async), so concurrent upserts coalesce, run one pair per worker,
+// and hit the same bounded-queue backpressure (EngineOverloaded) as
+// queries -- the frontend's admission control covers upserts for free.
 //
 // Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
 // the store first, then the new document bytes land via temp-file + rename,
@@ -135,10 +135,11 @@ class CorpusManager {
   /// The id-sorted pair entries for the current (locked) document map.
   [[nodiscard]] std::vector<CorpusIndexEntry> entries_locked() const;
 
-  /// Serializes generation + #doc manifest + pair entries and publishes it
-  /// via temp + rename. Throws CorpusPublishError on failure.
-  void publish_locked(const std::vector<CorpusIndexEntry>& entries,
-                      std::uint64_t generation);
+  /// Publishes generation + #doc manifest + pair entries of the current
+  /// (locked) document map as index.tsv (publish_corpus_index: temp +
+  /// rename). No-op without a corpus dir. Throws CorpusPublishError on
+  /// failure.
+  void publish_locked(std::uint64_t generation);
 
   [[nodiscard]] std::string index_path() const;
   [[nodiscard]] std::string doc_path(const std::string& id, Index version) const;
@@ -152,10 +153,5 @@ class CorpusManager {
   std::uint64_t generation_ = 0;
   AntWorkspace workspace_;
 };
-
-/// True iff `id` is usable as a document id: 1..128 printable ASCII chars,
-/// no whitespace, no path separators (ids appear in index.tsv columns and
-/// document filenames).
-bool valid_document_id(const std::string& id);
 
 }  // namespace semilocal

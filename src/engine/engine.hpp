@@ -109,7 +109,8 @@ class ComparisonEngine {
   /// entry_async with the content key already computed, for callers that
   /// pair one side with many others and digest it once (see pair_key): the
   /// alignment-plot planner pairs b with every grid row's strip, corpus
-  /// upserts pair the other document with every chunk. `key` must equal
+  /// upserts pair the other document with every chunk; corpus precompute
+  /// passes the key it already computed for index.tsv. `key` must equal
   /// make_pair_key(a, b).
   std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
                                                         SequenceView a,

@@ -8,9 +8,8 @@
 //   * Per-pair jobs. A worker pops one queued job, combs it on its
 //     persistent tls_workspace() (the zero-allocation steady state of
 //     core/workspace.hpp), publishes it and resolves its promise before it
-//     pops the next. Pairs are the parallel unit, as in
-//     semi_local_kernel_batch: every idle worker takes the next pair, and no
-//     caller waits for a neighbour's comb or persist.
+//     pops the next. Pairs are the parallel unit: every idle worker takes
+//     the next pair, and no caller waits for a neighbour's comb or persist.
 //   * Backpressure. The queue is bounded; a submit that would exceed it
 //     throws EngineOverloaded carrying a retry-after hint instead of letting
 //     latency grow without bound.

@@ -483,70 +483,32 @@ TEST(CombKernels, LoadBalancedWarmWorkspaceStopsGrowing) {
   EXPECT_EQ(ws.growth_events(), warm_growth);
 }
 
-// ---------------------------------------------------------------------------
-// Batched entry point.
-// ---------------------------------------------------------------------------
-
-TEST(CombKernels, BatchMatchesPerCallKernels) {
+// A scheduler worker's steady state: one semi_local_kernel call per pair on
+// the thread's persistent tls_workspace(). Pair-level correctness under the
+// scheduler lives in test_engine's CorpusPrecompute suite.
+TEST(CombKernels, WorkerSteadyStateAllocatesOnlyResults) {
   std::vector<Sequence> storage;
-  std::vector<SequencePair> pairs;
-  for (int i = 0; i < 12; ++i) {
-    storage.push_back(testing::random_string(40 + i * 13, 4, 100 + i));
-    storage.push_back(testing::random_string(90 + i * 7, 4, 200 + i));
-  }
-  for (std::size_t i = 0; i < storage.size(); i += 2) {
-    pairs.push_back({storage[i], storage[i + 1]});
-  }
-  for (const bool parallel : {false, true}) {
-    const auto kernels = semi_local_kernel_batch(pairs, {.parallel = parallel});
-    ASSERT_EQ(kernels.size(), pairs.size());
-    std::vector<Index> scores(pairs.size());
-    lcs_semilocal_batch(pairs, scores, {.parallel = parallel});
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto ref = semi_local_kernel(pairs[i].a, pairs[i].b);
-      EXPECT_EQ(kernels[i].permutation(), ref.permutation()) << "pair " << i;
-      EXPECT_EQ(scores[i], testing::lcs_oracle(pairs[i].a, pairs[i].b)) << "pair " << i;
-    }
-  }
-}
-
-TEST(CombKernels, BatchSteadyStateAllocatesOnlyResults) {
-  std::vector<Sequence> storage;
-  std::vector<SequencePair> pairs;
   for (int i = 0; i < 8; ++i) {
     storage.push_back(rounded_normal_sequence(300, 1.0, 300 + i));
     storage.push_back(rounded_normal_sequence(500, 1.0, 400 + i));
   }
-  for (std::size_t i = 0; i < storage.size(); i += 2) {
-    pairs.push_back({storage[i], storage[i + 1]});
-  }
-  std::vector<Index> scores(pairs.size());
-  const auto run = [&] { lcs_semilocal_batch(pairs, scores, {}); };
+  const std::size_t pairs = storage.size() / 2;
+  std::vector<Index> scores(pairs);
+  const auto run = [&] {
+    for (std::size_t i = 0; i < pairs; ++i) {
+      scores[i] = semi_local_kernel(storage[2 * i], storage[2 * i + 1], {},
+                                    &tls_workspace())
+                      .lcs();
+    }
+  };
   run();
-  run();  // warm the serial thread's tls workspace
+  run();  // warm this thread's tls workspace
   const std::size_t steady = allocations_during(run);
   // Per pair: the transient kernel's permutation block(s); no combing
   // scratch. Generous bound: 4 blocks per pair.
-  EXPECT_LE(steady, pairs.size() * 4);
-}
-
-TEST(CombKernels, BatchRunsUnderManyThreads) {
-  // Functional check that the one-region batched path is race-free with a
-  // full thread team (the throughput claim itself lives in bench_micro).
-  std::vector<Sequence> storage;
-  std::vector<SequencePair> pairs;
-  for (int i = 0; i < 32; ++i) {
-    storage.push_back(testing::random_string(120, 4, 500 + i));
-    storage.push_back(testing::random_string(240, 4, 600 + i));
-  }
-  for (std::size_t i = 0; i < storage.size(); i += 2) {
-    pairs.push_back({storage[i], storage[i + 1]});
-  }
-  ThreadScope threads(4);
-  const auto kernels = semi_local_kernel_batch(pairs, {.parallel = true});
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(kernels[i].permutation(),
-              comb_rowmajor(pairs[i].a, pairs[i].b).permutation())
+  EXPECT_LE(steady, pairs * 4);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    EXPECT_EQ(scores[i], testing::lcs_oracle(storage[2 * i], storage[2 * i + 1]))
         << "pair " << i;
   }
 }

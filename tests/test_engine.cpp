@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/serialize.hpp"
+#include "engine/corpus.hpp"
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
 #include "oracles.hpp"
@@ -588,6 +591,89 @@ TEST(Scheduler, FirstWindowQueryBuildsTheIndexOnceUnderConcurrentCallers) {
   EXPECT_EQ(stats.queries.index_builds, 1u);
   EXPECT_EQ(stats.queries.scanned, 0u);
   EXPECT_EQ(stats.scheduler.computed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Corpus precompute: an engine client. Every record pair is combed by the
+// scheduler (one pair per worker, or inline on the caller's drain) and lands
+// in the store as the same kernel a direct per-call compute returns.
+
+/// DNA records of the given lengths, seeded per record.
+std::vector<FastaRecord> dna_records(const std::vector<Index>& lengths,
+                                     std::uint64_t seed) {
+  std::vector<FastaRecord> records;
+  for (std::size_t r = 0; r < lengths.size(); ++r) {
+    FastaRecord record;
+    record.id = "rec" + std::to_string(r);
+    for (const Symbol s : testing::random_string(lengths[r], 4, seed + r)) {
+      record.residues.push_back(static_cast<Symbol>("ACGT"[s]));
+    }
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// Precomputes `records` into a fresh store with `workers` scheduler
+/// threads, then checks every pair's stored kernel file against `reference`
+/// and its score against the DP oracle.
+void expect_precompute_matches(const std::vector<FastaRecord>& records, int workers,
+                               const std::function<SemiLocalKernel(SequenceView,
+                                                                   SequenceView)>& reference) {
+  SCOPED_TRACE("workers = " + std::to_string(workers));
+  ScratchDir dir("precompute");
+  EngineOptions options;
+  options.store.dir = dir.str();
+  options.scheduler.workers = workers;
+  ComparisonEngine engine(options);
+  const CorpusBuildReport report = precompute_corpus(records, engine);
+  const std::size_t pairs = records.size() * (records.size() - 1) / 2;
+  ASSERT_EQ(report.entries.size(), pairs);
+  EXPECT_EQ(report.computed, pairs);
+  EXPECT_EQ(report.reused, 0u);
+  EXPECT_EQ(report.persist_failures, 0u);
+  EXPECT_EQ(engine.stats().scheduler.computed, pairs);
+
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    for (std::size_t j = i + 1; j < records.size(); ++j, ++row) {
+      const Sequence a = pack_dna(records[i].residues);
+      const Sequence b = pack_dna(records[j].residues);
+      const CorpusIndexEntry& entry = report.entries[row];
+      EXPECT_EQ(entry.id_a, records[i].id);
+      EXPECT_EQ(entry.id_b, records[j].id);
+      ASSERT_EQ(entry.key_hex, make_pair_key(a, b).hex());
+      const SemiLocalKernel stored = load_kernel_file(dir.file(entry.key_hex + ".slk"));
+      EXPECT_EQ(stored.permutation(), reference(a, b).permutation()) << "pair " << row;
+      EXPECT_EQ(stored.lcs(), testing::lcs_oracle(a, b)) << "pair " << row;
+      EXPECT_EQ(engine.lcs(a, b), stored.lcs()) << "pair " << row;
+    }
+  }
+  // Everything landed: a second run over the same store computes nothing.
+  const CorpusBuildReport again = precompute_corpus(records, engine);
+  EXPECT_EQ(again.reused, pairs);
+  EXPECT_EQ(again.computed, 0u);
+}
+
+TEST(CorpusPrecompute, StoredKernelsMatchPerCallKernels) {
+  std::vector<Index> lengths;
+  for (Index i = 0; i < 8; ++i) lengths.push_back(40 + i * 13);
+  const auto records = dna_records(lengths, 100);
+  for (const int workers : {0, 4}) {
+    expect_precompute_matches(records, workers, [](SequenceView a, SequenceView b) {
+      return semi_local_kernel(a, b);
+    });
+  }
+}
+
+TEST(CorpusPrecompute, RunsUnderFourWorkers) {
+  // 12 records = 66 pairs: more than the precompute lookahead, so the
+  // window refills while all four workers comb.
+  std::vector<Index> lengths;
+  for (Index i = 0; i < 12; ++i) lengths.push_back(i % 2 == 0 ? 120 : 240);
+  expect_precompute_matches(dna_records(lengths, 500), 4,
+                            [](SequenceView a, SequenceView b) {
+                              return comb_rowmajor(a, b);
+                            });
 }
 
 TEST(QueryLayer, MatchesBruteForceOracle) {

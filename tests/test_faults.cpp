@@ -115,7 +115,7 @@ TEST(FaultyEnv, ProbabilityModeIsSeedDeterministic) {
     std::string outcomes;
     for (int i = 0; i < 64; ++i) {
       try {
-        env.write_file(dir.file("f" + std::to_string(i)), "x");
+        env.write_file(dir.file(std::to_string(i) + ".f"), "x");
         outcomes += '.';
       } catch (const EnvError& e) {
         EXPECT_TRUE(e.injected());
@@ -791,53 +791,97 @@ TEST(FaultSchedules, UpsertCrashRestartCyclesNeverBlendGenerations) {
   EXPECT_GT(total_committed, seeds);
 }
 
-/// Corpus precompute under a hostile disk: never throws, reports exactly the
-/// pairs whose kernels failed to land, and a follow-up healthy run completes
-/// the store.
-TEST(FaultSchedules, CorpusPrecomputeDegradesAndResumes) {
-  ScratchDir dir;
+std::vector<FastaRecord> precompute_records(int count) {
   std::vector<FastaRecord> records;
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < count; ++r) {
     FastaRecord record;
-    record.id = "r" + std::to_string(r);
+    record.id = std::string("r") + std::to_string(r);
     for (const Symbol s : testing::random_string(60, 4, 81 + r)) {
       record.residues.push_back(static_cast<Symbol>("ACGT"[s]));
     }
     records.push_back(std::move(record));
   }
+  return records;
+}
+
+/// A workers = 0 engine over `dir` whose store runs on `env` (nullptr =
+/// the real filesystem): precompute then drains every pair inline, so the
+/// fault schedule sees one deterministic write order.
+EngineOptions precompute_engine_options(const ScratchDir& dir, Env* env) {
+  EngineOptions options;
+  options.store.dir = dir.str();
+  options.store.env = env;
+  options.scheduler.workers = 0;
+  return options;
+}
+
+/// Corpus precompute under a hostile disk: never throws, reports exactly the
+/// pairs whose kernels failed to land, and a follow-up healthy run completes
+/// the store.
+TEST(FaultSchedules, CorpusPrecomputeDegradesAndResumes) {
+  ScratchDir dir;
+  const std::vector<FastaRecord> records = precompute_records(4);
   FaultPlan plan;
   plan.rules.push_back(fault_rule(EnvOp::kWrite, /*skip=*/2));  // disk fills up early
   FaultyEnv env(plan);
   std::size_t persisted_first = 0;
   {
-    KernelStoreOptions options;
-    options.dir = dir.str();
-    options.env = &env;
-    KernelStore store(options);
-    const CorpusBuildReport report =
-        precompute_corpus(records, store, SemiLocalOptions{}, /*parallel=*/false);
+    ComparisonEngine engine(precompute_engine_options(dir, &env));
+    const CorpusBuildReport report = precompute_corpus(records, engine);
     EXPECT_EQ(report.entries.size(), 6u);  // C(4,2)
     EXPECT_EQ(report.computed, 6u);
     EXPECT_GT(report.persist_failures, 0u);
     EXPECT_LT(report.persist_failures, 6u);  // the first writes landed
     persisted_first = 6u - report.persist_failures;
-    // The index write also goes through the env; under this plan it fails
+    // The index publish also goes through the env; under this plan it fails
     // loudly, not silently.
-    EXPECT_THROW(
-        write_corpus_index(dir.file("index.tsv"), report.entries, &env),
-        std::runtime_error);
+    EXPECT_THROW(publish_corpus_index(dir.file("index.tsv"),
+                                      CorpusIndex{.pairs = report.entries}, &env),
+                 std::runtime_error);
   }
   // Healthy re-run: resumes (reuses what landed), completes the rest.
-  KernelStoreOptions options;
-  options.dir = dir.str();
-  KernelStore store(options);
-  const CorpusBuildReport resumed =
-      precompute_corpus(records, store, SemiLocalOptions{}, /*parallel=*/false);
+  ComparisonEngine engine(precompute_engine_options(dir, nullptr));
+  const CorpusBuildReport resumed = precompute_corpus(records, engine);
   EXPECT_EQ(resumed.reused, persisted_first);
   EXPECT_EQ(resumed.computed, 6u - persisted_first);
   EXPECT_EQ(resumed.persist_failures, 0u);
-  write_corpus_index(dir.file("index.tsv"), resumed.entries);
-  EXPECT_EQ(read_corpus_index(dir.file("index.tsv")).size(), 6u);
+  publish_corpus_index(dir.file("index.tsv"), CorpusIndex{.pairs = resumed.entries});
+  EXPECT_EQ(read_corpus_index(dir.file("index.tsv")).pairs.size(), 6u);
+}
+
+/// Precompute publishes its index like an upsert does, via temp + rename: a
+/// short write of the temp file leaves the previous index byte-identical
+/// and no temp file behind.
+TEST(FaultSchedules, PrecomputeIndexShortWriteKeepsThePreviousIndex) {
+  ScratchDir dir;
+  std::vector<FastaRecord> records = precompute_records(4);
+  {
+    ComparisonEngine engine(precompute_engine_options(dir, nullptr));
+    const CorpusBuildReport report = precompute_corpus(records, engine);
+    publish_corpus_index(dir.file("index.tsv"), CorpusIndex{.pairs = report.entries});
+  }
+  const std::string before = real_env().read_file(dir.file("index.tsv"));
+
+  // The corpus grows by one record; republishing its index tears the temp.
+  records = precompute_records(5);
+  FaultPlan plan;
+  FaultRule torn = fault_rule(EnvOp::kWrite);
+  torn.path_substring = "index.tsv.tmp";
+  torn.short_write_bytes = 17;
+  plan.rules.push_back(torn);
+  FaultyEnv env(plan);
+  ComparisonEngine engine(precompute_engine_options(dir, &env));
+  const CorpusBuildReport grown = precompute_corpus(records, engine);
+  EXPECT_EQ(grown.reused, 6u);
+  EXPECT_EQ(grown.computed, 4u);
+  EXPECT_EQ(grown.persist_failures, 0u);  // kernel writes are outside the rule
+  EXPECT_THROW(publish_corpus_index(dir.file("index.tsv"),
+                                    CorpusIndex{.pairs = grown.entries}, &env),
+               std::runtime_error);
+  EXPECT_EQ(env.faults_injected(), 1u);
+  EXPECT_EQ(real_env().read_file(dir.file("index.tsv")), before);
+  EXPECT_FALSE(fs::exists(dir.file("index.tsv.tmp")));
+  EXPECT_EQ(read_corpus_index(dir.file("index.tsv")).pairs.size(), 6u);
 }
 
 // ---------------------------------------------------------------------------

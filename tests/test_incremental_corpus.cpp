@@ -342,18 +342,23 @@ TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
 
 TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndBackCompat) {
   const ScratchDir scratch;
-  std::vector<CorpusIndexEntry> entries(1);
-  entries[0] = {"a", "b", 10, 20, "00112233445566778899aabbccddeeff", 3, 7};
+  CorpusIndex index;
+  index.generation = 42;
+  index.docs = {{"a", 3, 10}, {"b", 7, 20}};
+  index.pairs = {{"a", "b", 10, 20, "00112233445566778899aabbccddeeff", 3, 7}};
 
   const std::string path = scratch.file("index.tsv");
-  write_corpus_index(path, entries, nullptr, 42);
-  std::uint64_t generation = 0;
-  const auto read = read_corpus_index(path, nullptr, &generation);
-  ASSERT_EQ(read.size(), 1u);
-  EXPECT_EQ(generation, 42u);
-  EXPECT_EQ(read[0].ver_a, 3);
-  EXPECT_EQ(read[0].ver_b, 7);
-  EXPECT_EQ(read[0].key_hex, entries[0].key_hex);
+  publish_corpus_index(path, index);
+  const CorpusIndex read = read_corpus_index(path);
+  EXPECT_EQ(read.generation, 42u);
+  ASSERT_EQ(read.docs.size(), 2u);
+  EXPECT_EQ(read.docs[1].id, "b");
+  EXPECT_EQ(read.docs[1].version, 7);
+  EXPECT_EQ(read.docs[1].length, 20);
+  ASSERT_EQ(read.pairs.size(), 1u);
+  EXPECT_EQ(read.pairs[0].ver_a, 3);
+  EXPECT_EQ(read.pairs[0].ver_b, 7);
+  EXPECT_EQ(read.pairs[0].key_hex, index.pairs[0].key_hex);
 
   // Pre-versioning five-column files (plain precompute output from older
   // releases) still read: versions and generation default to zero.
@@ -363,14 +368,55 @@ TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndBackCompat) {
     out << "#id_a\tid_b\tm\tn\tkey\n";
     out << "x\ty\t5\t6\tffeeddccbbaa99887766554433221100\n";
   }
-  std::uint64_t legacy_generation = 99;
-  const auto old = read_corpus_index(legacy, nullptr, &legacy_generation);
-  ASSERT_EQ(old.size(), 1u);
-  EXPECT_EQ(legacy_generation, 0u);
-  EXPECT_EQ(old[0].ver_a, 0);
-  EXPECT_EQ(old[0].ver_b, 0);
-  EXPECT_EQ(old[0].m, 5);
-  EXPECT_EQ(old[0].n, 6);
+  const CorpusIndex old = read_corpus_index(legacy);
+  ASSERT_EQ(old.pairs.size(), 1u);
+  EXPECT_EQ(old.generation, 0u);
+  EXPECT_TRUE(old.docs.empty());
+  EXPECT_EQ(old.pairs[0].ver_a, 0);
+  EXPECT_EQ(old.pairs[0].ver_b, 0);
+  EXPECT_EQ(old.pairs[0].m, 5);
+  EXPECT_EQ(old.pairs[0].n, 6);
+}
+
+// The one index reader validates what it hands on: keys become store file
+// names (`query --ids` joins them into a path), and counts and generations
+// become sizes. Each bad line is refused with an error that names it.
+TEST(CorpusIndexReader, RejectsMalformedLinesByName) {
+  const ScratchDir scratch;
+  const std::string key = "00112233445566778899aabbccddeeff";
+  const std::vector<std::string> bad_lines = {
+      "a\tb\t5\t6\t../../../etc/passwd",                 // key: a path
+      "a\tb\t5\t6\t00112233445566778899AABBCCDDEEFF",     // key: uppercase
+      "a\tb\t5\t6\t0011223344556677",                     // key: too short
+      "a\tb\t5\t6\t00112233445566778899aabbccddeefg",     // key: not hex
+      "a\tb\t-5\t6\t" + key,                              // negative m
+      "a\tb\t5\t-6\t" + key,                              // negative n
+      "a\tb\t5\t6\t" + key + "\t-1\t0",                 // negative version
+      "a\tb\t5x\t6\t" + key,                              // m: not a number
+      "a\tb\t5\t6\t" + key + "\t1",                      // six columns
+      "#generation\tseven",                                 // generation: word
+      "#generation\t-1",                                    // generation: negative
+      "#generation\t12abc",                                 // generation: trailing junk
+      "#generation\t",                                      // generation: empty
+      "#doc\ta/b\t1\t4",                                   // doc id with a separator
+      "#doc\ta\t-1\t4",                                    // negative doc version
+  };
+  for (const std::string& line : bad_lines) {
+    SCOPED_TRACE(line);
+    const std::string path = scratch.file("bad.tsv");
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << "#id_a\tid_b\tm\tn\tkey\tver_a\tver_b\n" << line << "\n";
+    }
+    try {
+      (void)read_corpus_index(path);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(":2: "), std::string::npos) << what;
+      EXPECT_NE(what.find(line), std::string::npos) << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

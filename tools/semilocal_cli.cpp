@@ -11,10 +11,11 @@
 //   query <store-dir> <kind> <x> <y> --ids idA,idB
 //       Same, from a precomputed kernel store: the pair's kernel is looked
 //       up in the store index and loaded -- no recomputation.
-//   precompute <corpus.fasta> --store DIR [--algorithm NAME] [--parallel]
+//   precompute <corpus.fasta> --store DIR [--algorithm NAME] [--cache-mb N]
 //       Builds a kernel store: computes and persists the kernels of every
-//       record pair of the corpus, plus an index.tsv mapping id pairs to
-//       store keys. Re-running resumes (existing kernels are skipped).
+//       record pair of the corpus on one scheduler worker per hardware
+//       thread, then publishes an index.tsv mapping id pairs to store keys
+//       (temp + rename). Re-running resumes (existing kernels are skipped).
 //   generate [--length N] [--gc FRAC] [--pair] [--seed S] [--out PATH]
 //       Emits synthetic genome FASTA (one record, or a related pair).
 //   dotplot <a.fasta> <b.fasta> [--rows R] [--cols C]
@@ -77,6 +78,7 @@
 #include "fd_stream.hpp"
 #include "util/cli.hpp"
 #include "util/fasta.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 using namespace semilocal;
@@ -91,8 +93,7 @@ int usage() {
       "  query <kernel.bin> <kind> <x> <y>   (kind: string-substring, substring-string,\n"
       "                                       prefix-suffix, suffix-prefix, h)\n"
       "  query <store-dir> <kind> <x> <y> --ids idA,idB\n"
-      "  precompute <corpus.fasta> --store DIR [--algorithm NAME] [--parallel]\n"
-      "             [--cache-mb N]\n"
+      "  precompute <corpus.fasta> --store DIR [--algorithm NAME] [--cache-mb N]\n"
       "  generate [--length N] [--gc F] [--pair] [--seed S] [--out PATH]\n"
       "  dotplot <a.fasta> <b.fasta> [--rows R] [--cols C]\n"
       "  braid <stringA> <stringB>\n"
@@ -177,9 +178,9 @@ SemiLocalKernel load_query_kernel(const CliArgs& args) {
   }
   const std::string id_a = ids->substr(0, comma);
   const std::string id_b = ids->substr(comma + 1);
-  const auto index =
+  const CorpusIndex index =
       read_corpus_index((std::filesystem::path(target) / "index.tsv").string());
-  for (const CorpusIndexEntry& entry : index) {
+  for (const CorpusIndexEntry& entry : index.pairs) {
     if (entry.id_a == id_a && entry.id_b == id_b) {
       return load_kernel_file(
           (std::filesystem::path(target) / (entry.key_hex + ".slk")).string());
@@ -214,18 +215,21 @@ int cmd_precompute(const CliArgs& args) {
   if (records.size() < 2) {
     throw std::runtime_error("precompute needs a corpus of at least two records");
   }
-  KernelStore store(
-      {.dir = *store_dir,
-       .cache_bytes = static_cast<std::size_t>(args.int_option_or("cache-mb", 64)) << 20,
-       .persist = true});
-  SemiLocalOptions opts;
-  opts.strategy = parse_strategy(args.option_or("algorithm", "antidiag"));
+  // Built the way semilocal_serve builds its engine: pairs are the parallel
+  // unit, one per scheduler worker.
+  EngineOptions options;
+  options.store.dir = *store_dir;
+  options.store.cache_bytes =
+      static_cast<std::size_t>(args.int_option_or("cache-mb", 64)) << 20;
+  options.scheduler.workers = hardware_threads();
+  options.scheduler.compute.strategy =
+      parse_strategy(args.option_or("algorithm", "antidiag"));
+  ComparisonEngine engine(options);
   Timer t;
-  const CorpusBuildReport report =
-      precompute_corpus(records, store, opts, args.has_flag("parallel"));
+  const CorpusBuildReport report = precompute_corpus(records, engine);
   const std::string index_path =
       (std::filesystem::path(*store_dir) / "index.tsv").string();
-  write_corpus_index(index_path, report.entries);
+  publish_corpus_index(index_path, CorpusIndex{.pairs = report.entries});
   std::cout << records.size() << " records, " << report.entries.size() << " pairs: "
             << report.computed << " kernels computed, " << report.reused
             << " reused from store, in " << t.seconds() << " s\n";
